@@ -8,8 +8,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Partition, new_partition, sample_partition
-from .errors import AllZero, BadProbability
+from .core import MAX_WIDTH, Partition, new_partition, sample_partition
+from .errors import AllZero, BadCount, BadProbability, WidthTooSmall
 from .matcher import min_rules
 from .signed import lpm_bounds
 
@@ -201,6 +201,12 @@ def normalize_counts(counts, width_multiple: int) -> Partition:
     """Scale raw (possibly real) counts to a partition summing to a power of
     two whose width is a multiple of width_multiple, minimizing L1 distance
     (largest-remainder rounding with a positivity floor of 1)."""
+    if width_multiple < 1:
+        raise WidthTooSmall(f"width multiple {width_multiple} is not positive")
+    if not all(math.isfinite(c) for c in counts):
+        raise BadCount("counts must be finite numbers")
+    if any(c > 1 << MAX_WIDTH for c in counts):
+        raise BadCount(f"a count above 2**{MAX_WIDTH} needs a width above {MAX_WIDTH}")
     vals = [float(c) for c in counts if c > 0]
     if not vals:
         raise AllZero("no positive counts")

@@ -129,6 +129,8 @@ def cmd_worstcase(args) -> int:
         p = worstcase.gen_k2(args.width)
     elif args.kind == "k3":
         p = worstcase.gen_k3(args.width)
+    elif args.k is None:
+        raise TcamSplitError(f"--k is required for --kind {args.kind}")
     elif args.kind == "triplets":
         p = worstcase.gen_triplets(args.k, args.width)
     else:

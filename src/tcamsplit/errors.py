@@ -59,3 +59,7 @@ class BadProbability(TcamSplitError):
 
 class AllZero(TcamSplitError):
     pass
+
+
+class BadCount(TcamSplitError):
+    pass

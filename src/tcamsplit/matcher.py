@@ -48,9 +48,65 @@ def bit_matcher(p: Partition) -> TransactionSequence:
     return TransactionSequence(tuple(txs), width, p.k)
 
 
+def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
+    """planes[d] has bit i set iff bit d of weights[i] is set (weights >= 0)."""
+    fmt = f"0{count}b"
+    rows = "".join([format(w, fmt) for w in reversed(weights)])
+    return [int(rows[j::count], 2) for j in range(count - 1, -1, -1)]
+
+
 def min_rules(p: Partition) -> int:
-    """Minimum prefix rule count realizing p."""
-    return len(bit_matcher(p))
+    """Minimum prefix rule count realizing p: len(bit_matcher(p)), counted.
+
+    Runs bit_matcher's level loop on bit planes without building the
+    sequence.  The donors at level d are the first half of the active set in
+    bit_matcher's order: bits d+1, d+2, ... with zeros first, then the
+    lowest index.  Receivers gain 2**d by a carry-add into the planes above.
+    """
+    width = p.width
+    if not p.weights or min(p.weights) < 0:
+        raise InternalInvariantViolated("need a non-empty list of non-negative weights")
+    # no weight outgrows the sum, so the carries stay inside these planes
+    planes = _bit_planes(p.weights, max(width + 1, sum(p.weights).bit_length()))
+    top = len(planes)
+    lam = 1
+    for d in range(width):
+        act = planes[d]
+        if not act:
+            continue
+        size = act.bit_count()
+        if size % 2:
+            raise InternalInvariantViolated(f"odd active set at level {d}")
+        need = size // 2
+        lam += need
+        donors, cand = 0, act  # the other `need` donors are still in cand
+        e = d + 1
+        while need != size and e < top:
+            zeros = cand & ~planes[e]
+            z = zeros.bit_count()
+            if z >= need:
+                cand, size = zeros, z
+            else:
+                donors |= zeros
+                cand ^= zeros
+                need -= z
+                size -= z
+            e += 1
+        if need < size:  # tied keys are equal weights; the lowest indices donate
+            rest = cand
+            for _ in range(need):
+                rest &= rest - 1
+            cand ^= rest
+        carry = act & ~(donors | cand)
+        e = d + 1
+        while carry:
+            plane = planes[e]
+            planes[e] = plane ^ carry
+            carry &= plane
+            e += 1
+    if planes[width].bit_count() != 1 or any(planes[width + 1:]):
+        raise InternalInvariantViolated("matcher did not converge to 2**width")
+    return lam
 
 
 def min_rules_below(p: Partition, m: int) -> int:

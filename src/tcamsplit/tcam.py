@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .core import Partition, Transaction, TransactionSequence
 from .errors import (
     IncompleteCover,
+    IndexOutOfRange,
     InternalInvariantViolated,
     TooLargeToEvaluate,
     WidthMismatch,
@@ -116,6 +117,12 @@ class RuleTable:
     width: int
     rules: tuple[Rule, ...]
     k: int
+
+    def __post_init__(self):
+        # counts are indexed by target, so -1 would silently count for target k
+        low = min((r.target for r in self.rules), default=0)
+        if low < 0:
+            raise IndexOutOfRange(f"target {low} is negative")
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -16,7 +16,7 @@ from tcamsplit.analysis import (
     rw,
     trial_rng,
 )
-from tcamsplit.errors import AllZero, BadProbability
+from tcamsplit.errors import AllZero, BadCount, BadProbability, WidthTooSmall
 
 
 def test_rw_small_cases():
@@ -157,6 +157,16 @@ def test_normalize_counts():
     assert q.k == 2 and q.weights[1] >= 1 and sum(q.weights) == 1 << q.width
     with pytest.raises(AllZero):
         normalize_counts([0, 0], 8)
+
+
+def test_normalize_counts_rejects():
+    with pytest.raises(WidthTooSmall):
+        normalize_counts([1, 1, 1], 0)  # width += 0 would never end
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(BadCount):
+            normalize_counts([3, bad], 8)
+    with pytest.raises(BadCount):
+        normalize_counts([1e308, 1e308], 8)
 
 
 def test_read_counts():

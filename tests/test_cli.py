@@ -82,6 +82,13 @@ def test_verify(capsys, tmp_path):
     assert out.strip() == "16"
 
 
+def test_verify_rejects_negative_target(capsys, tmp_path):
+    f = tmp_path / "rules.txt"
+    f.write_text("1* -1\n** 1\n")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_compile_verify_pipeline(capsys, tmp_path):
     rng = random.Random(77)
     for _ in range(100):
@@ -129,6 +136,12 @@ def test_worstcase_command(capsys):
     assert json.loads(out)["weights"] == [11, 21, 27, 27, 42]
 
 
+@pytest.mark.parametrize("kind", ["triplets", "general"])
+def test_worstcase_needs_k(capsys, kind):
+    code, out, err = run_cli(capsys, "worstcase", "--kind", kind, "--width", "8")
+    assert code == 1 and out == "" and err.startswith("error:") and "--k" in err
+
+
 def test_rw_command(capsys):
     code, out, _ = run_cli(capsys, "rw", "--p", "1/6", "--n", "0")
     assert code == 0 and out.strip() == "0"
@@ -162,3 +175,15 @@ def test_normalize_command(capsys, tmp_path):
     f.write_text("1\n1\n1\n")
     code, out, _ = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", "8")
     assert code == 0 and out.strip().splitlines() == ["width=8", "86,85,85"]
+
+
+@pytest.mark.parametrize(
+    "counts, multiple",
+    [("1\n1\n1\n", "0"), ("inf\n3\n", "8"), ("nan\n3\n", "8"), ("1e308\n1e308\n", "8")],
+    ids=["multiple-0", "inf", "nan", "huge"],
+)
+def test_normalize_rejects(capsys, tmp_path, counts, multiple):
+    f = tmp_path / "counts.txt"
+    f.write_text(counts)
+    code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", multiple)
+    assert code == 1 and out == "" and err.startswith("error:")

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from tcamsplit import matcher
-from tcamsplit.core import new_partition, sample_partition, validate_sequence
-from tcamsplit.errors import InstanceTooLarge
+from tcamsplit.core import MAX_WIDTH, Partition, new_partition, sample_partition, validate_sequence
+from tcamsplit.errors import InstanceTooLarge, InternalInvariantViolated, TcamSplitError
 from tcamsplit.matcher import (
     anchor_sequence,
     bit_matcher,
@@ -15,6 +17,7 @@ from tcamsplit.matcher import (
     signed_matcher,
 )
 from tcamsplit.signed import lpm_bounds, naf_max, naf_total
+from tcamsplit.worstcase import gen_general_hard, gen_k2, gen_k3, gen_triplets
 
 
 def test_bit_matcher_lengths():
@@ -178,3 +181,94 @@ def _all_partitions(width, kmax):
 
     rec(total, total, [])
     return out
+
+
+# --- min_rules is a count-only kernel; bit_matcher is its reference ----------
+
+@st.composite
+def uniform_partitions(draw):
+    width = draw(st.integers(0, MAX_WIDTH))
+    k = draw(st.integers(1, min(200, 1 << width)))
+    cuts = draw(st.lists(st.integers(1, (1 << width) - 1), min_size=k - 1,
+                         max_size=k - 1, unique=True)) if k > 1 else []
+    bounds = [0] + sorted(cuts) + [1 << width]
+    return new_partition([b - a for a, b in zip(bounds, bounds[1:])], width)
+
+
+@st.composite
+def tied_partitions(draw):
+    """Up to three groups of equal weights plus a remainder, shuffled, so
+    that bit_matcher's order is often decided by the index alone."""
+    width = draw(st.integers(1, MAX_WIDTH))
+    left = 1 << width
+    weights: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.integers(1, left))
+        reps = draw(st.integers(1, min(60, left // w)))
+        weights += [w] * reps
+        left -= w * reps
+        if not left:
+            break
+    if left:
+        weights.append(left)
+    return new_partition(draw(st.permutations(weights)), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_partitions())
+def test_min_rules_matches_bit_matcher(p):
+    assert min_rules(p) == len(bit_matcher(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_partitions())
+def test_min_rules_matches_bit_matcher_on_ties(p):
+    assert min_rules(p) == len(bit_matcher(p))
+
+
+def test_min_rules_matches_bit_matcher_small_families():
+    for width in range(1, MAX_WIDTH + 1):
+        families = [gen_k2(width)] + ([gen_k3(width)] if width >= 2 else [])
+        for p in families:
+            assert min_rules(p) == len(bit_matcher(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([gen_triplets, gen_general_hard]),
+    st.integers(4, 200),
+    st.integers(2, MAX_WIDTH),
+)
+def test_min_rules_matches_bit_matcher_hard_families(gen, k, width):
+    try:
+        p = gen(k, width)
+    except TcamSplitError:
+        reject()
+    assert min_rules(p) == len(bit_matcher(p))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Partition((9, -1), 3),  # negative weight
+        Partition((3, 2), 3),  # odd sum
+        Partition((16,), 3),  # weight above 2**width
+    ],
+)
+def test_min_rules_rejects_hand_built_partitions(p):
+    with pytest.raises(InternalInvariantViolated):
+        bit_matcher(p)
+    with pytest.raises(InternalInvariantViolated):
+        min_rules(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-(1 << 130), 1 << 130), min_size=1, max_size=50),
+    st.integers(-(1 << 130), -1),
+    st.integers(0, MAX_WIDTH),
+)
+def test_min_rules_rejects_negative_weights(weights, negative, width):
+    # a negative int has infinitely many set bits: rejected before slicing, no hang
+    with pytest.raises(InternalInvariantViolated):
+        min_rules(Partition(tuple(weights) + (negative,), width))

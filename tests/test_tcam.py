@@ -4,9 +4,10 @@ import pytest
 
 from tcamsplit import tcam
 from tcamsplit.core import new_partition, sample_partition, validate_sequence
-from tcamsplit.errors import IncompleteCover, WidthMismatch
+from tcamsplit.errors import IncompleteCover, IndexOutOfRange, WidthMismatch
 from tcamsplit.matcher import bit_matcher, min_rules
 from tcamsplit.tcam import (
+    Rule,
     RuleTable,
     TernaryPattern,
     evaluate_table,
@@ -162,6 +163,15 @@ def test_table_from_text_width_check():
         table_from_text("0* 1\n0** 2")
     with pytest.raises(WidthMismatch):
         table_from_text("0* 1", width=3)
+
+
+def test_rule_table_rejects_negative_targets():
+    with pytest.raises(IndexOutOfRange):
+        RuleTable(2, (Rule(TernaryPattern.parse("**"), -1),), 0)
+    with pytest.raises(IndexOutOfRange):
+        table_from_text("1* -1\n** 1")
+    with pytest.raises(IndexOutOfRange):
+        tcam.table_from_json('{"width": 2, "rules": [{"pattern": "**", "target": -1}]}')
 
 
 def test_lookup_first_match_priority():

@@ -19,6 +19,12 @@ def _bitlex_key(w: int, width: int) -> str:
     return format(w, f"0{width}b")[::-1]
 
 
+def _check_weights(p: Partition) -> None:
+    # a negative weight would put "-" into a bit key or give a plane infinite bits
+    if not p.weights or min(p.weights) < 0:
+        raise InternalInvariantViolated("need a non-empty list of non-negative weights")
+
+
 def bit_matcher(p: Partition) -> TransactionSequence:
     """Optimal zeroing sequence.
 
@@ -27,6 +33,7 @@ def bit_matcher(p: Partition) -> TransactionSequence:
     counterpart in the larger half.  A final move sends the surviving
     2**width weight to target 0.
     """
+    _check_weights(p)
     width = p.width
     weights = list(p.weights)
     txs: list[Transaction] = []
@@ -63,9 +70,8 @@ def min_rules(p: Partition) -> int:
     bit_matcher's order: bits d+1, d+2, ... with zeros first, then the
     lowest index.  Receivers gain 2**d by a carry-add into the planes above.
     """
+    _check_weights(p)
     width = p.width
-    if not p.weights or min(p.weights) < 0:
-        raise InternalInvariantViolated("need a non-empty list of non-negative weights")
     # no weight outgrows the sum, so the carries stay inside these planes
     planes = _bit_planes(p.weights, max(width + 1, sum(p.weights).bit_length()))
     top = len(planes)

@@ -2,20 +2,24 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 
-from .core import Partition, Transaction, TransactionSequence
+from .core import MAX_WIDTH, Partition, Transaction, TransactionSequence
 from .errors import (
     IncompleteCover,
     IndexOutOfRange,
     InternalInvariantViolated,
     TooLargeToEvaluate,
     WidthMismatch,
+    WidthOverflow,
 )
 from .matcher import bit_matcher
 
 _IE_RULE_LIMIT = 20
 _ENUM_WIDTH_LIMIT = 24
+_TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,11 @@ class TernaryPattern:
     @classmethod
     def parse(cls, text: str) -> "TernaryPattern":
         text = text.strip()
-        care = value = 0
-        for c in text:
-            care <<= 1
-            value <<= 1
-            if c == "1":
-                care |= 1
-                value |= 1
-            elif c == "0":
-                care |= 1
-            elif c != "*":
-                raise ValueError(f"bad pattern character {c!r}")
-        return cls(len(text), care, value)
+        bad = text.translate(_TERNARY_CHARS)  # what is left is not 0, 1 or *
+        if bad:
+            raise ValueError(f"bad pattern character {bad[0]!r}")
+        care = int("0" + text.replace("0", "1").replace("*", "0"), 2)
+        return cls(len(text), care, int("0" + text.replace("*", "0"), 2))
 
     @classmethod
     def from_block(cls, width: int, start: int, level: int) -> "TernaryPattern":
@@ -119,6 +116,11 @@ class RuleTable:
     k: int
 
     def __post_init__(self):
+        if not 0 <= self.width <= MAX_WIDTH:
+            raise WidthOverflow(f"table width {self.width} outside 0..{MAX_WIDTH}")
+        odd = {r.pattern.width for r in self.rules} - {self.width}
+        if odd:
+            raise WidthMismatch(f"pattern width {min(odd)}, table width {self.width}")
         # counts are indexed by target, so -1 would silently count for target k
         low = min((r.target for r in self.rules), default=0)
         if low < 0:
@@ -174,37 +176,40 @@ def synthesize_lpm(p: Partition) -> RuleTable:
 
 # --- evaluation -----------------------------------------------------------
 
-def _subtract_interval(segments, lo, hi):
-    """Remove [lo, hi) from disjoint segments; return (remaining, removed_size)."""
-    out = []
-    removed = 0
-    for a, b in segments:
-        if b <= lo or a >= hi:
-            out.append((a, b))
-            continue
-        if a < lo:
-            out.append((a, lo))
-        if b > hi:
-            out.append((hi, b))
-        removed += min(b, hi) - max(a, lo)
-    return out, removed
+def _paint_prefix(table: RuleTable):
+    """Paint the rules' intervals onto the address space, last rule first.
 
-
-def _first_match_counts_prefix(table: RuleTable) -> list[int]:
+    The map is a sorted list of segment starts, each with an owner: a rule
+    index, or len(rules) for unmatched.  Just before rule i is painted, the
+    map shows every address's first match among the rules below i.  Each
+    paint leaves at most 3 segments in place of those it covers, so the pass
+    is O(n log n) plus list-slice moves.  Returns, per rule, the (owner,
+    size) runs it covered, and the final address counts per target.
+    """
+    n = len(table.rules)
+    end = 1 << table.width
+    starts, owners = [0], [n]
+    below = [None] * n
+    for i in range(n - 1, -1, -1):
+        lo, hi = table.rules[i].pattern.interval()
+        j = bisect_right(starts, lo) - 1
+        m = bisect_left(starts, hi, j)
+        edges = [lo, *starts[j + 1:m], hi]
+        below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
+        seg_starts, seg_owners = [lo], [i]
+        if starts[j] < lo:
+            seg_starts.insert(0, starts[j])
+            seg_owners.insert(0, owners[j])
+        if hi < (starts[m] if m < len(starts) else end):
+            seg_starts.append(hi)
+            seg_owners.append(owners[m - 1])
+        starts[j:m] = seg_starts
+        owners[j:m] = seg_owners
+    targets = [r.target for r in table.rules] + [0]
     counts = [0] * (table.k + 1)
-    space = [(0, 1 << table.width)]
-    for r in table.rules:
-        lo, hi = r.pattern.interval()
-        kept = []
-        taken = 0
-        for seg in space:
-            rem, cut = _subtract_interval([seg], lo, hi)
-            kept.extend(rem)
-            taken += cut
-        space = kept
-        counts[r.target] += taken
-    counts[0] += sum(b - a for a, b in space)
-    return counts
+    for owner, size in zip(owners, map(sub, [*starts[1:], end], starts)):
+        counts[targets[owner]] += size
+    return below, counts
 
 
 def _excl_count(base: TernaryPattern | None, blockers) -> int:
@@ -240,7 +245,7 @@ def _first_match_counts_general(table: RuleTable) -> list[int]:
 def evaluate_table(table: RuleTable) -> list[int]:
     """Exact address counts per target, index 0..k (0 = unmatched)."""
     if table.is_prefix_table():
-        return _first_match_counts_prefix(table)
+        return _paint_prefix(table)[1]
     return _first_match_counts_general(table)
 
 
@@ -251,37 +256,36 @@ def table_to_sequence(table: RuleTable) -> TransactionSequence:
     its first match among the remaining rules (or to the unallocated pool);
     groups with an unchanged target emit nothing.
     """
-    if evaluate_table(table)[0] != 0:
+    prefix_mode = table.is_prefix_table()
+    if prefix_mode:
+        below, counts = _paint_prefix(table)
+    else:
+        counts = evaluate_table(table)
+    if counts[0] != 0:
         raise IncompleteCover("table leaves addresses unmatched")
     txs: list[Transaction] = []
-    prefix_mode = table.is_prefix_table()
     rules = table.rules
+    targets = [r.target for r in rules] + [0]
     for t, rule in enumerate(rules):
-        remaining = rules[t + 1:]
         moved: dict[int, int] = {}
-        uncovered = rule.pattern.count
         if prefix_mode:
-            segments = [rule.pattern.interval()]
-            for lower in remaining:
-                if not segments:
-                    break
-                segments, cut = _subtract_interval(segments, *lower.pattern.interval())
-                if cut:
-                    moved[lower.target] = moved.get(lower.target, 0) + cut
-                    uncovered -= cut
+            # groups in order of their first lower rule; unmatched sorts last
+            for owner, size in sorted(below[t]):
+                moved[targets[owner]] = moved.get(targets[owner], 0) + size
         else:
             if len(rules) > _IE_RULE_LIMIT and table.width > _ENUM_WIDTH_LIMIT:
                 raise TooLargeToEvaluate("general table too large to resequence")
+            uncovered = rule.pattern.count
             between: list[TernaryPattern] = []
-            for lower in remaining:
+            for lower in rules[t + 1:]:
                 inter = intersect_two(rule.pattern, lower.pattern)
                 cut = _excl_count(inter, between)
                 if cut:
                     moved[lower.target] = moved.get(lower.target, 0) + cut
                     uncovered -= cut
                 between.append(lower.pattern)
-        if uncovered:
-            moved[0] = moved.get(0, 0) + uncovered
+            if uncovered:
+                moved[0] = moved.get(0, 0) + uncovered
         for tgt, cnt in moved.items():
             if tgt != rule.target:
                 txs.append(Transaction(rule.target, tgt, cnt))
@@ -304,8 +308,6 @@ def table_from_text(text: str, width: int | None = None) -> RuleTable:
         pat = TernaryPattern.parse(pat_text)
         if width is None:
             width = pat.width
-        elif pat.width != width:
-            raise WidthMismatch(f"pattern width {pat.width}, table width {width}")
         rules.append(Rule(pat, int(target)))
     if width is None:
         raise IncompleteCover("no rules given")

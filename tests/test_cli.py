@@ -89,6 +89,13 @@ def test_verify_rejects_negative_target(capsys, tmp_path):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_verify_rejects_overwide_table(capsys, tmp_path):
+    f = tmp_path / "rules.txt"
+    f.write_text("1" + "*" * 199 + " 1\n" + "*" * 200 + " 2\n")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_compile_verify_pipeline(capsys, tmp_path):
     rng = random.Random(77)
     for _ in range(100):

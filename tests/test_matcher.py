@@ -253,6 +253,8 @@ def test_min_rules_matches_bit_matcher_hard_families(gen, k, width):
         Partition((9, -1), 3),  # negative weight
         Partition((3, 2), 3),  # odd sum
         Partition((16,), 3),  # weight above 2**width
+        Partition((-1, 1, 8), 3),  # negative weights whose sum is right
+        Partition((5, 3, 1, -1), 3),
     ],
 )
 def test_min_rules_rejects_hand_built_partitions(p):

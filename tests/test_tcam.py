@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcamsplit import tcam
 from tcamsplit.core import new_partition, sample_partition, validate_sequence
-from tcamsplit.errors import IncompleteCover, IndexOutOfRange, WidthMismatch
+from tcamsplit.errors import IncompleteCover, IndexOutOfRange, WidthMismatch, WidthOverflow
 from tcamsplit.matcher import bit_matcher, min_rules
 from tcamsplit.tcam import (
     Rule,
@@ -163,6 +165,13 @@ def test_table_from_text_width_check():
         table_from_text("0* 1\n0** 2")
     with pytest.raises(WidthMismatch):
         table_from_text("0* 1", width=3)
+    with pytest.raises(WidthMismatch):
+        tcam.table_from_json('{"width": 2, "rules": [{"pattern": "***", "target": 1}]}')
+    with pytest.raises(WidthOverflow):
+        table_from_text("1" + "*" * 199 + " 1")
+    with pytest.raises(WidthOverflow):
+        tcam.table_from_json(f'{{"width": 200, "rules": [{{"pattern": "{"*" * 200}", "target": 1}}]}}')
+    assert table_from_text("*" * 128 + " 1").width == 128
 
 
 def test_rule_table_rejects_negative_targets():
@@ -177,3 +186,74 @@ def test_rule_table_rejects_negative_targets():
 def test_lookup_first_match_priority():
     t = table_from_text("00 1\n0* 2\n** 3")
     assert [t.lookup(a) for a in range(4)] == [1, 2, 3, 3]
+
+
+@st.composite
+def prefix_tables(draw):
+    """Prefix rules in any order: random targets (0 included), repeats, gaps."""
+    width = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, 12))):
+        level = draw(st.integers(0, width))
+        start = draw(st.integers(0, (1 << (width - level)) - 1)) << level
+        pool.append(TernaryPattern.from_block(width, start, level))
+    if draw(st.booleans()):
+        pool.append(TernaryPattern.from_block(width, 0, width))
+    patterns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return RuleTable(
+        width, tuple(Rule(q, draw(st.integers(0, k))) for q in patterns), k
+    )
+
+
+def _reference_sequence(table):
+    """Per address: each rule's addresses fall to their first match below it."""
+    addrs = range(1 << table.width)
+    if any(table.lookup(a) == 0 for a in addrs):
+        raise IncompleteCover("reference: some address is unmatched or on target 0")
+    rules = table.rules
+    out = []
+    for t, rule in enumerate(rules):
+        by_owner = {}
+        for a in filter(rule.pattern.matches, addrs):
+            owner = next(
+                (u for u in range(t + 1, len(rules)) if rules[u].pattern.matches(a)),
+                len(rules),
+            )
+            by_owner[owner] = by_owner.get(owner, 0) + 1
+        moved = {}
+        for owner in sorted(by_owner):
+            tgt = rules[owner].target if owner < len(rules) else 0
+            moved[tgt] = moved.get(tgt, 0) + by_owner[owner]
+        out += [(rule.target, tgt, n) for tgt, n in moved.items() if tgt != rule.target]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables())
+def test_evaluate_prefix_matches_lookup(table):
+    counts = [0] * (table.k + 1)
+    for addr in range(1 << table.width):
+        counts[table.lookup(addr)] += 1
+    assert evaluate_table(table) == counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables())
+def test_table_to_sequence_matches_reference(table):
+    try:
+        expected = _reference_sequence(table)
+    except IncompleteCover:
+        with pytest.raises(IncompleteCover):
+            table_to_sequence(table)
+        return
+    got = [(x.src, x.dst, x.size) for x in table_to_sequence(table)]
+    assert got == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sequence_zeroes_at_full_size(seed):
+    p = sample_partition(100, 100, random.Random(seed))
+    s = table_to_sequence(synthesize_lpm(p))
+    assert validate_sequence(p, s).zeroes

@@ -40,13 +40,8 @@ def cmd_compile(args) -> int:
     lo, hi = signed.lpm_bounds(p)
     lam = len(table)
     if args.format == "json":
-        obj = {
-            "width": table.width,
-            "rules": [{"pattern": str(r.pattern), "target": r.target} for r in table.rules],
-            "lambda": lam,
-            "lpm_lower": lo,
-            "lpm_upper": hi,
-        }
+        obj = tcam.table_to_json_obj(table)
+        obj.update({"lambda": lam, "lpm_lower": lo, "lpm_upper": hi})
         if args.emit_sequence:
             obj["sequence"] = core.sequence_to_json_obj(matcher.bit_matcher(p))
         _emit(json.dumps(obj, indent=2), args.out)

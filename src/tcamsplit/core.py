@@ -85,10 +85,6 @@ class Transaction:
             raise ValueError(f"size {self.size} is not a power of two")
         return self.size.bit_length() - 1
 
-    @classmethod
-    def at_level(cls, src: int, level: int, dst: int) -> "Transaction":
-        return cls(src, dst, 1 << level)
-
 
 @dataclass(frozen=True)
 class TransactionSequence:

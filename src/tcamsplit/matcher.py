@@ -6,8 +6,8 @@ construction realizes the signed-digit upper bound exactly.
 """
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
 
 from .core import Partition, Transaction, TransactionSequence
 from .errors import InstanceTooLarge, InternalInvariantViolated
@@ -25,13 +25,11 @@ def _check_weights(p: Partition) -> None:
         raise InternalInvariantViolated("need a non-empty list of non-negative weights")
 
 
-def bit_matcher(p: Partition) -> TransactionSequence:
-    """Optimal zeroing sequence.
+def _level_loop(p: Partition, pair) -> TransactionSequence:
+    """Zero the weights level by level, then send the 2**width survivor to 0.
 
-    Per level d: the indices with bit d set are split into halves by
-    bit-lexicographic order; each of the smaller half donates 2**d to its
-    counterpart in the larger half.  A final move sends the surviving
-    2**width weight to target 0.
+    At level d, pair(act, weights, d) pairs up the indices with bit d set;
+    each pair (i, j) moves 2**d from i to j.
     """
     _check_weights(p)
     width = p.width
@@ -41,10 +39,8 @@ def bit_matcher(p: Partition) -> TransactionSequence:
         act = [i for i in range(p.k) if (weights[i] >> d) & 1]
         if len(act) % 2:
             raise InternalInvariantViolated(f"odd active set at level {d}")
-        act.sort(key=lambda i: (_bitlex_key(weights[i], width), i))
-        half = len(act) // 2
         size = 1 << d
-        for i, j in zip(act[:half], act[half:]):
+        for i, j in pair(act, weights, d):
             txs.append(Transaction(i + 1, j + 1, size))
             weights[i] -= size
             weights[j] += size
@@ -53,6 +49,23 @@ def bit_matcher(p: Partition) -> TransactionSequence:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
     txs.append(Transaction(survivors[0] + 1, 0, 1 << width))
     return TransactionSequence(tuple(txs), width, p.k)
+
+
+def bit_matcher(p: Partition) -> TransactionSequence:
+    """Optimal zeroing sequence.
+
+    Per level d: the indices with bit d set are split into halves by
+    bit-lexicographic order; each of the smaller half donates 2**d to its
+    counterpart in the larger half.  A final move sends the surviving
+    2**width weight to target 0.
+    """
+
+    def halves(act, weights, d):
+        act.sort(key=lambda i: (_bitlex_key(weights[i], p.width), i))
+        half = len(act) // 2
+        return zip(act[:half], act[half:])
+
+    return _level_loop(p, halves)
 
 
 def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
@@ -122,28 +135,17 @@ def min_rules_below(p: Partition, m: int) -> int:
 
 def random_matcher(p: Partition, rng: random.Random) -> TransactionSequence:
     """Uniform random pairing per level; direction decided by bit d+1."""
-    width = p.width
-    weights = list(p.weights)
-    txs: list[Transaction] = []
-    for d in range(width):
-        act = [i for i in range(p.k) if (weights[i] >> d) & 1]
-        if len(act) % 2:
-            raise InternalInvariantViolated(f"odd active set at level {d}")
+
+    def shuffled(act, weights, d):
         rng.shuffle(act)
-        size = 1 << d
         for i, j in zip(act[::2], act[1::2]):
             bi = (weights[i] >> (d + 1)) & 1
             bj = (weights[j] >> (d + 1)) & 1
             if bi > bj or (bi == bj and rng.getrandbits(1)):
                 i, j = j, i
-            txs.append(Transaction(i + 1, j + 1, size))
-            weights[i] -= size
-            weights[j] += size
-    survivors = [i for i in range(p.k) if weights[i]]
-    if len(survivors) != 1 or weights[survivors[0]] != 1 << width:
-        raise InternalInvariantViolated("matcher did not converge to 2**width")
-    txs.append(Transaction(survivors[0] + 1, 0, 1 << width))
-    return TransactionSequence(tuple(txs), width, p.k)
+            yield i, j
+
+    return _level_loop(p, shuffled)
 
 
 def signed_matcher(p: Partition) -> TransactionSequence:
@@ -237,34 +239,41 @@ def _successors(state: tuple[int, ...], sizes: list[int], lo: int, hi: int):
                 yield tuple(sorted(state[:i] + (inc,) + state[i + 1:]))
 
 
-def _oracle_sizes(width: int) -> list[int]:
-    return [1 << lvl for lvl in range(width + 2)]
+def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
+    """Distances from start to every sorted state, searched level by level.
+
+    Stops after max_depth levels, or once goal is reached, or when no new
+    state is left.
+    """
+    if (1 << width) > 256 or len(start) > 5:
+        raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
+    hi = 1 << (width + 1)
+    lo = -hi if allow_negative else 0
+    sizes = [1 << lvl for lvl in range(width + 2)]
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and depth < max_depth and goal not in dist:
+        depth += 1
+        level, frontier = frontier, []
+        for state in level:
+            for nxt in _successors(state, sizes, lo, hi):
+                if nxt not in dist:
+                    dist[nxt] = depth
+                    frontier.append(nxt)
+            if goal in dist:
+                break
+    return dist
 
 
 def brute_force_lambda(p: Partition, allow_negative: bool = False) -> int:
     """Exact minimum zeroing-sequence length by breadth-first search over
     sorted weight multisets.  Desk-scale only."""
-    if (1 << p.width) > 256 or p.k > 5:
-        raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
-    hi = 1 << (p.width + 1)
-    lo = -hi if allow_negative else 0
-    sizes = _oracle_sizes(p.width)
-    start = tuple(sorted(p.weights))
     goal = (0,) * p.k
-    if start == goal:
-        return 0
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        state = frontier.popleft()
-        d = dist[state] + 1
-        for nxt in _successors(state, sizes, lo, hi):
-            if nxt == goal:
-                return d
-            if nxt not in dist:
-                dist[nxt] = d
-                frontier.append(nxt)
-    raise InternalInvariantViolated("zero state unreachable")
+    dist = _breadth_first(tuple(sorted(p.weights)), p.width, allow_negative, goal=goal)
+    if goal not in dist:
+        raise InternalInvariantViolated("zero state unreachable")
+    return dist[goal]
 
 
 def zeroing_distances(
@@ -276,20 +285,4 @@ def zeroing_distances(
     so these are exact minimum zeroing lengths.  Extra zero slots subsume
     smaller k (the pool can simulate any scratch slot).
     """
-    if (1 << width) > 256 or slots > 5:
-        raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
-    hi = 1 << (width + 1)
-    lo = -hi if allow_negative else 0
-    sizes = _oracle_sizes(width)
-    goal = (0,) * slots
-    dist = {goal: 0}
-    frontier = [goal]
-    for depth in range(1, max_depth + 1):
-        nxt_frontier = []
-        for state in frontier:
-            for nxt in _successors(state, sizes, lo, hi):
-                if nxt not in dist:
-                    dist[nxt] = depth
-                    nxt_frontier.append(nxt)
-        frontier = nxt_frontier
-    return dist
+    return _breadth_first((0,) * slots, width, allow_negative, max_depth)

@@ -176,77 +176,91 @@ def synthesize_lpm(p: Partition) -> RuleTable:
 
 # --- evaluation -----------------------------------------------------------
 
-def _paint_prefix(table: RuleTable):
-    """Paint the rules' intervals onto the address space, last rule first.
-
-    The map is a sorted list of segment starts, each with an owner: a rule
-    index, or len(rules) for unmatched.  Just before rule i is painted, the
-    map shows every address's first match among the rules below i.  Each
-    paint leaves at most 3 segments in place of those it covers, so the pass
-    is O(n log n) plus list-slice moves.  Returns, per rule, the (owner,
-    size) runs it covered, and the final address counts per target.
-    """
-    n = len(table.rules)
-    end = 1 << table.width
-    starts, owners = [0], [n]
-    below = [None] * n
-    for i in range(n - 1, -1, -1):
-        lo, hi = table.rules[i].pattern.interval()
-        j = bisect_right(starts, lo) - 1
-        m = bisect_left(starts, hi, j)
-        edges = [lo, *starts[j + 1:m], hi]
-        below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
-        seg_starts, seg_owners = [lo], [i]
-        if starts[j] < lo:
-            seg_starts.insert(0, starts[j])
-            seg_owners.insert(0, owners[j])
-        if hi < (starts[m] if m < len(starts) else end):
-            seg_starts.append(hi)
-            seg_owners.append(owners[m - 1])
-        starts[j:m] = seg_starts
-        owners[j:m] = seg_owners
-    targets = [r.target for r in table.rules] + [0]
-    counts = [0] * (table.k + 1)
-    for owner, size in zip(owners, map(sub, [*starts[1:], end], starts)):
-        counts[targets[owner]] += size
-    return below, counts
-
-
 def _excl_count(base: TernaryPattern | None, blockers) -> int:
     """|base minus union(blockers)| via inclusion-exclusion with pruning."""
     if base is None:
         return 0
     for idx, blk in enumerate(blockers):
         inter = intersect_two(base, blk)
+        if inter == base:  # blk covers base: nothing is left
+            return 0
         if inter is not None:
             rest = blockers[idx + 1:]
             return _excl_count(base, rest) - _excl_count(inter, rest)
     return base.count
 
 
-def _first_match_counts_general(table: RuleTable) -> list[int]:
+def _fall_through(table: RuleTable):
+    """Where each rule's addresses fall when it is deleted, and the counts.
+
+    Returns, per rule, its addresses as (owner, size) runs by their first
+    match among the rules below it (owner len(rules) is unmatched), and the
+    first-match address counts per target.
+
+    Prefix tables are painted onto a sorted list of segment starts with
+    owners, last rule first: just before rule i is painted, the map shows
+    every address's first match below i.  Each paint leaves at most 3
+    segments in place of those it covers, so the pass is O(n log n) plus
+    list-slice moves.  General tables use inclusion-exclusion, bottom-up:
+    rule i takes its addresses from the owners its runs name.
+    """
+    rules = table.rules
+    n = len(rules)
+    end = 1 << table.width
+    below = [None] * n
+    if table.is_prefix_table():
+        starts, owners = [0], [n]
+        for i in range(n - 1, -1, -1):
+            lo, hi = rules[i].pattern.interval()
+            j = bisect_right(starts, lo) - 1
+            m = bisect_left(starts, hi, j)
+            edges = [lo, *starts[j + 1:m], hi]
+            below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
+            seg_starts, seg_owners = [lo], [i]
+            if starts[j] < lo:
+                seg_starts.insert(0, starts[j])
+                seg_owners.insert(0, owners[j])
+            if hi < (starts[m] if m < len(starts) else end):
+                seg_starts.append(hi)
+                seg_owners.append(owners[m - 1])
+            starts[j:m] = seg_starts
+            owners[j:m] = seg_owners
+        final = zip(owners, map(sub, [*starts[1:], end], starts))
+    elif n > _IE_RULE_LIMIT and table.width > _ENUM_WIDTH_LIMIT:
+        raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
+    else:
+        pats = [r.pattern for r in rules]
+        owned = [0] * n + [end]
+        for i in range(n - 1, -1, -1):
+            runs = [
+                (u, _excl_count(intersect_two(pats[i], pats[u]), pats[i + 1:u]))
+                for u in range(i + 1, n)
+            ]
+            runs.append((n, pats[i].count - sum(cut for _, cut in runs)))
+            below[i] = [(u, cut) for u, cut in runs if cut]
+            for u, cut in below[i]:
+                owned[u] -= cut
+            owned[i] = pats[i].count
+        final = enumerate(owned)
+    targets = [r.target for r in rules] + [0]
     counts = [0] * (table.k + 1)
-    if len(table.rules) <= _IE_RULE_LIMIT:
-        pats: list[TernaryPattern] = []
-        for r in table.rules:
-            counts[r.target] += _excl_count(r.pattern, pats)
-            pats.append(r.pattern)
-        counts[0] = (1 << table.width) - sum(counts[1:])
-        return counts
-    if table.width <= _ENUM_WIDTH_LIMIT:
-        for addr in range(1 << table.width):
-            counts[table.lookup(addr)] += 1
-        return counts
-    raise TooLargeToEvaluate(
-        f"{len(table.rules)} general rules at width {table.width}"
-    )
+    for owner, size in final:
+        counts[targets[owner]] += size
+    return below, counts
 
 
 def evaluate_table(table: RuleTable) -> list[int]:
     """Exact address counts per target, index 0..k (0 = unmatched)."""
-    if table.is_prefix_table():
-        return _paint_prefix(table)[1]
-    return _first_match_counts_general(table)
+    if (
+        len(table.rules) <= _IE_RULE_LIMIT
+        or table.width > _ENUM_WIDTH_LIMIT
+        or table.is_prefix_table()
+    ):
+        return _fall_through(table)[1]
+    counts = [0] * (table.k + 1)
+    for addr in range(1 << table.width):
+        counts[table.lookup(addr)] += 1
+    return counts
 
 
 def table_to_sequence(table: RuleTable) -> TransactionSequence:
@@ -256,36 +270,16 @@ def table_to_sequence(table: RuleTable) -> TransactionSequence:
     its first match among the remaining rules (or to the unallocated pool);
     groups with an unchanged target emit nothing.
     """
-    prefix_mode = table.is_prefix_table()
-    if prefix_mode:
-        below, counts = _paint_prefix(table)
-    else:
-        counts = evaluate_table(table)
+    below, counts = _fall_through(table)
     if counts[0] != 0:
         raise IncompleteCover("table leaves addresses unmatched")
     txs: list[Transaction] = []
-    rules = table.rules
-    targets = [r.target for r in rules] + [0]
-    for t, rule in enumerate(rules):
+    targets = [r.target for r in table.rules] + [0]
+    for rule, runs in zip(table.rules, below):
         moved: dict[int, int] = {}
-        if prefix_mode:
-            # groups in order of their first lower rule; unmatched sorts last
-            for owner, size in sorted(below[t]):
-                moved[targets[owner]] = moved.get(targets[owner], 0) + size
-        else:
-            if len(rules) > _IE_RULE_LIMIT and table.width > _ENUM_WIDTH_LIMIT:
-                raise TooLargeToEvaluate("general table too large to resequence")
-            uncovered = rule.pattern.count
-            between: list[TernaryPattern] = []
-            for lower in rules[t + 1:]:
-                inter = intersect_two(rule.pattern, lower.pattern)
-                cut = _excl_count(inter, between)
-                if cut:
-                    moved[lower.target] = moved.get(lower.target, 0) + cut
-                    uncovered -= cut
-                between.append(lower.pattern)
-            if uncovered:
-                moved[0] = moved.get(0, 0) + uncovered
+        # groups in order of their first lower rule; unmatched sorts last
+        for owner, size in sorted(runs):
+            moved[targets[owner]] = moved.get(targets[owner], 0) + size
         for tgt, cnt in moved.items():
             if tgt != rule.target:
                 txs.append(Transaction(rule.target, tgt, cnt))
@@ -315,13 +309,15 @@ def table_from_text(text: str, width: int | None = None) -> RuleTable:
     return RuleTable(width, tuple(rules), k)
 
 
+def table_to_json_obj(table: RuleTable) -> dict:
+    return {
+        "width": table.width,
+        "rules": [{"pattern": str(r.pattern), "target": r.target} for r in table.rules],
+    }
+
+
 def table_to_json(table: RuleTable) -> str:
-    return json.dumps(
-        {
-            "width": table.width,
-            "rules": [{"pattern": str(r.pattern), "target": r.target} for r in table.rules],
-        }
-    )
+    return json.dumps(table_to_json_obj(table))
 
 
 def table_from_json(text: str) -> RuleTable:

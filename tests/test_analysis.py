@@ -1,8 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from tcamsplit.analysis import (
@@ -77,13 +77,15 @@ def test_p_levels():
 
 def test_empirical_digit_frequencies():
     # frequency of a non-zero signed digit at level l is 2 * p_l
-    rng = np.random.default_rng(123)
-    n = rng.integers(0, 1 << 30, size=1_000_000, dtype=np.uint64)
-    h = 3 * n
-    nz = ((h & ~n) >> 1) | ((n & ~h) >> 1)
+    rng = random.Random(123)
+    low = Counter()  # the nine lowest digits of each sample, as a mask
+    for _ in range(1_000_000):
+        n = rng.getrandbits(30)
+        h = 3 * n
+        low[(((h & ~n) >> 1) | ((n & ~h) >> 1)) & 511] += 1
     ps = p_levels(9)
     for lvl in range(9):
-        freq = float(((nz >> lvl) & 1).mean())
+        freq = sum(c for mask, c in low.items() if (mask >> lvl) & 1) / 1_000_000
         assert abs(freq - 2 * float(ps[lvl])) < 0.003
 
 

@@ -45,6 +45,31 @@ def test_compile_json_and_sequence(capsys):
     assert obj["sequence"][-1] == {"src": 1, "level": 3, "size": 8, "dst": 0}
 
 
+def test_compile_json_bytes(capsys):
+    table = {
+        "width": 3,
+        "rules": [
+            {"pattern": "010", "target": 2},
+            {"pattern": "00*", "target": 3},
+            {"pattern": "***", "target": 1},
+        ],
+        "lambda": 3,
+        "lpm_lower": 3,
+        "lpm_upper": 3,
+    }
+    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2", "--format", "json")
+    assert code == 0 and out == json.dumps(table, indent=2) + "\n"
+    table["sequence"] = [
+        {"src": 2, "level": 0, "size": 1, "dst": 1},
+        {"src": 3, "level": 1, "size": 2, "dst": 1},
+        {"src": 1, "level": 3, "size": 8, "dst": 0},
+    ]
+    code, out, _ = run_cli(
+        capsys, "compile", "--weights", "5,1,2", "--format", "json", "--emit-sequence"
+    )
+    assert code == 0 and out == json.dumps(table, indent=2) + "\n"
+
+
 def test_compile_bad_input_exit_1(capsys):
     code, _, err = run_cli(capsys, "compile", "--weights", "5,1,1", "--width", "3")
     assert code == 1 and "error" in err
@@ -94,6 +119,15 @@ def test_verify_rejects_overwide_table(capsys, tmp_path):
     f.write_text("1" + "*" * 199 + " 1\n" + "*" * 200 + " 2\n")
     code, out, err = run_cli(capsys, "verify", "--rules", str(f))
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_verify_rejects_table_too_large_to_evaluate(capsys, tmp_path):
+    # 21 general rules at width 25: neither inclusion-exclusion nor enumeration
+    f = tmp_path / "rules.txt"
+    f.write_text("".join("*" * i + "1" + "*" * (24 - i) + " 1\n" for i in range(21)))
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert code == 1 and out == ""
+    assert err == "error: 21 general rules at width 25\n"
 
 
 def test_compile_verify_pipeline(capsys, tmp_path):

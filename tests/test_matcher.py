@@ -164,6 +164,17 @@ def test_oracle_agrees_small():
             assert brute_force_lambda(p, allow_negative=True) == min_rules(p)
 
 
+def test_zeroing_distances_stop_at_max_depth():
+    # the backward search and brute_force_lambda's forward one agree
+    dist = matcher.zeroing_distances(3, 3, max_depth=4)
+    assert len(dist) == 515 and max(dist.values()) == 4
+    for p in _all_partitions(3, 3):
+        assert dist[tuple(sorted(p.weights + (0,) * (3 - p.k)))] == brute_force_lambda(p)
+    assert matcher.zeroing_distances(3, 3, max_depth=0) == {(0, 0, 0): 0}
+    with pytest.raises(InstanceTooLarge):
+        matcher.zeroing_distances(3, 6)
+
+
 def _all_partitions(width, kmax):
     total = 1 << width
     out = []
@@ -260,6 +271,8 @@ def test_min_rules_matches_bit_matcher_hard_families(gen, k, width):
 def test_min_rules_rejects_hand_built_partitions(p):
     with pytest.raises(InternalInvariantViolated):
         bit_matcher(p)
+    with pytest.raises(InternalInvariantViolated):
+        random_matcher(p, random.Random(1))
     with pytest.raises(InternalInvariantViolated):
         min_rules(p)
 

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from tcamsplit import tcam
 from tcamsplit.core import new_partition, sample_partition, validate_sequence
-from tcamsplit.errors import IncompleteCover, IndexOutOfRange, WidthMismatch, WidthOverflow
+from tcamsplit.errors import (
+    IncompleteCover,
+    IndexOutOfRange,
+    TooLargeToEvaluate,
+    WidthMismatch,
+    WidthOverflow,
+)
 from tcamsplit.matcher import bit_matcher, min_rules
 from tcamsplit.tcam import (
     Rule,
@@ -229,18 +235,14 @@ def _reference_sequence(table):
     return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(prefix_tables())
-def test_evaluate_prefix_matches_lookup(table):
+def _check_evaluate(table):
     counts = [0] * (table.k + 1)
     for addr in range(1 << table.width):
         counts[table.lookup(addr)] += 1
     assert evaluate_table(table) == counts
 
 
-@settings(max_examples=300, deadline=None)
-@given(prefix_tables())
-def test_table_to_sequence_matches_reference(table):
+def _check_sequence(table):
     try:
         expected = _reference_sequence(table)
     except IncompleteCover:
@@ -249,6 +251,53 @@ def test_table_to_sequence_matches_reference(table):
         return
     got = [(x.src, x.dst, x.size) for x in table_to_sequence(table)]
     assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables())
+def test_evaluate_prefix_matches_lookup(table):
+    _check_evaluate(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables())
+def test_table_to_sequence_matches_reference(table):
+    _check_sequence(table)
+
+
+@st.composite
+def ternary_tables(draw):
+    """Rules over {0,1,*}, 1-30 of them (so both general evaluators run),
+    random targets (0 included), with or without a match-all at the bottom."""
+    width = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 5))
+    pattern = st.text("01*", min_size=width, max_size=width).map(TernaryPattern.parse)
+    rules = draw(st.lists(st.builds(Rule, pattern, st.integers(0, k)), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        rules[-1] = Rule(TernaryPattern.parse("*" * width), draw(st.integers(0, k)))
+    return RuleTable(width, tuple(rules), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ternary_tables())
+def test_evaluate_general_matches_lookup(table):
+    _check_evaluate(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ternary_tables())
+def test_table_to_sequence_general_matches_reference(table):
+    _check_sequence(table)
+
+
+def test_too_large_to_evaluate():
+    # 21 single-bit rules, all but the first non-prefix, at width 25
+    rules = "".join("*" * i + "1" + "*" * (24 - i) + " 1\n" for i in range(21))
+    table = table_from_text(rules)
+    assert not table.is_prefix_table()
+    for read in (evaluate_table, table_to_sequence):
+        with pytest.raises(TooLargeToEvaluate, match="^21 general rules at width 25$"):
+            read(table)
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,25 +4,48 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import MAX_WIDTH, Partition, new_partition, sample_partition
-from .errors import AllZero, BadCount, BadProbability, WidthTooSmall
+from .errors import (
+    AllZero,
+    BadCount,
+    BadProbability,
+    InstanceTooLarge,
+    WidthOverflow,
+    WidthTooSmall,
+)
 from .matcher import min_rules
 from .signed import lpm_bounds
+
+
+# exact rw(p, n) took about 1 s at n = 200 for p = 1/6, and longer as p's
+# denominator grows, since its numbers are as large as denominator**n
+RW_EXACT_MAX_STEPS = 200
+RW_EXACT_MAX_BITS = 1024
 
 
 def rw(p, n: int):
     """Expected |displacement| of an n-step walk moving +-1 each with
     probability p (else staying).  Exact DP over the displacement
     distribution; arithmetic follows the type of p (Fraction stays exact).
+    Exact calls are limited to n <= RW_EXACT_MAX_STEPS and
+    n * bit_length(denominator(p)) <= RW_EXACT_MAX_BITS.
     """
     if not 0 <= 2 * p <= 1:
         raise BadProbability(f"need 0 <= 2p <= 1, got p={p}")
     if n < 0:
         raise BadProbability(f"negative step count {n}")
+    if isinstance(p, numbers.Rational) and (
+        n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS
+    ):
+        raise InstanceTooLarge(
+            f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
+            f"<= {RW_EXACT_MAX_BITS}, got n={n}, denominator {p.denominator}"
+        )
     stay = 1 - 2 * p
     # dist[i] = probability of displacement i - n after the steps so far
     dist = [p * 0] * (2 * n + 1)
@@ -215,9 +238,10 @@ def normalize_counts(counts, width_multiple: int) -> Partition:
     k = len(vals)
     raw = math.fsum(vals)
     need = max(k, math.ceil(raw))
-    width = 0
-    while (1 << width) < need:
-        width += width_multiple
+    # the least multiple of width_multiple with 2**width >= need
+    width = -(-(need - 1).bit_length() // width_multiple) * width_multiple
+    if width > MAX_WIDTH:
+        raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
     total = 1 << width
     ideal = [c * total / raw for c in vals]
     base = [math.floor(x) for x in ideal]

@@ -8,11 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
 from . import analysis, core, matcher, signed, tcam, worstcase
-from .errors import TcamSplitError
+from .errors import BadProbability, TcamSplitError
 
 
 def _read_input(path: str) -> str:
@@ -152,7 +153,13 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_rw(args) -> int:
-    p = Fraction(args.p)
+    # Fraction("1e-999999999") alone would build a billion-digit integer
+    if re.search(r"[eE][-+]?\d{5}", args.p):
+        raise BadProbability(f"exponent in --p {args.p!r} has more than 4 digits")
+    try:
+        p = Fraction(args.p)
+    except ZeroDivisionError:
+        raise BadProbability(f"zero denominator in --p {args.p!r}") from None
     val = analysis.rw(p, args.n)
     _emit(str(val), args.out)
     return 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 
 from .core import Partition, Transaction, TransactionSequence
 from .errors import InstanceTooLarge, InternalInvariantViolated
@@ -216,52 +217,90 @@ def anchor_sequence(p: Partition) -> TransactionSequence:
 
 # --- brute-force oracle ---------------------------------------------------
 
-def _successors(state: tuple[int, ...], sizes: list[int], lo: int, hi: int):
-    """All states one transaction away (targets include the unallocated pool,
-    which is unconstrained)."""
-    n = len(state)
-    for i in range(n):
-        v = state[i]
-        for s in sizes:
-            dec = v - s
-            if dec >= lo:
-                rest = state[:i] + state[i + 1:]
-                # to the pool
-                yield tuple(sorted(rest + (dec,)))
-                # to another slot
-                for j in range(n - 1):
-                    w = rest[j] + s
-                    if w <= hi:
-                        yield tuple(sorted(rest[:j] + (w,) + rest[j + 1:] + (dec,)))
-            inc = v + s
-            if inc <= hi:
-                # from the pool
-                yield tuple(sorted(state[:i] + (inc,) + state[i + 1:]))
-
-
 def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
     """Distances from start to every sorted state, searched level by level.
 
-    Stops after max_depth levels, or once goal is reached, or when no new
-    state is left.
+    A move takes 2**lvl (lvl <= width + 1) from a slot or the unallocated
+    pool, which is unconstrained, and gives it to another slot or the pool;
+    the values it makes stay in [lo, hi].  A state is looked up by an exact
+    integer key: the power sums u**1 .. u**k over its values, shifted to
+    u = v - base >= 0, each in a bit field wide enough for it.  Power sums
+    1..k fix a multiset of k values (Newton's identities).  A move changes
+    the key by one table entry per value it changes, so only a new state is
+    sorted into a tuple.  Stops after max_depth levels, or once goal is
+    reached, or when no new state is left.
     """
     if (1 << width) > 256 or len(start) > 5:
         raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
     hi = 1 << (width + 1)
     lo = -hi if allow_negative else 0
     sizes = [1 << lvl for lvl in range(width + 2)]
+    k = len(start)
+    # only start values (of a hand-built partition) can lie outside [lo, hi]
+    base, top = min((lo, *start)), max((hi, *start))
+    # field m holds a sum of k values u**m <= (top - base)**m
+    bits = [(k * (top - base) ** m).bit_length() for m in range(1, k)]
+    shifts = list(accumulate(bits, initial=0))
+    entry = {}
+    for v in range(base, top + 1):
+        u = power = v - base
+        key = 0
+        for shift in shifts:
+            key += power << shift
+            power *= u
+        entry[v] = key
+    start_key = sum(entry[v] for v in start)
+    goal_key = None if goal is None else sum(entry[v] for v in goal)
+    seen = {start_key}
     dist = {start: 0}
-    frontier = [start]
+    frontier = [(start, start_key)]
     depth = 0
-    while frontier and depth < max_depth and goal not in dist:
+    while frontier and depth < max_depth and goal_key not in seen:
         depth += 1
         level, frontier = frontier, []
-        for state in level:
-            for nxt in _successors(state, sizes, lo, hi):
-                if nxt not in dist:
-                    dist[nxt] = depth
-                    frontier.append(nxt)
-            if goal in dist:
+        for state, key in level:
+            prev = None
+            for i, v in enumerate(state):
+                if v == prev:  # state is sorted: equal values, equal moves
+                    continue
+                prev = v
+                rest = state[:i] + state[i + 1:]
+                key_i = key - entry[v]
+                for s in sizes:  # to the pool, or to another slot
+                    dec = v - s
+                    if dec < lo:
+                        break
+                    key_d = key_i + entry[dec]
+                    if key_d not in seen:
+                        seen.add(key_d)
+                        nxt = tuple(sorted(rest + (dec,)))
+                        dist[nxt] = depth
+                        frontier.append((nxt, key_d))
+                    last = None
+                    for j, w in enumerate(rest):
+                        if w == last:
+                            continue
+                        last = w
+                        inc = w + s
+                        if inc > hi:
+                            break
+                        key_j = key_d - entry[w] + entry[inc]
+                        if key_j not in seen:
+                            seen.add(key_j)
+                            nxt = tuple(sorted(rest[:j] + (inc,) + rest[j + 1:] + (dec,)))
+                            dist[nxt] = depth
+                            frontier.append((nxt, key_j))
+                for s in sizes:  # from the pool
+                    inc = v + s
+                    if inc > hi:
+                        break
+                    key_p = key_i + entry[inc]
+                    if key_p not in seen:
+                        seen.add(key_p)
+                        nxt = tuple(sorted(rest + (inc,)))
+                        dist[nxt] = depth
+                        frontier.append((nxt, key_p))
+            if goal_key in seen:
                 break
     return dist
 

@@ -11,6 +11,7 @@ from .errors import (
     IncompleteCover,
     IndexOutOfRange,
     InternalInvariantViolated,
+    KTooLarge,
     TooLargeToEvaluate,
     WidthMismatch,
     WidthOverflow,
@@ -19,6 +20,7 @@ from .matcher import bit_matcher
 
 _IE_RULE_LIMIT = 20
 _ENUM_WIDTH_LIMIT = 24
+MAX_TARGET = 1 << 20  # counts are a list indexed by target
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
@@ -125,6 +127,8 @@ class RuleTable:
         low = min((r.target for r in self.rules), default=0)
         if low < 0:
             raise IndexOutOfRange(f"target {low} is negative")
+        if self.k > MAX_TARGET:
+            raise KTooLarge(f"target {self.k} above {MAX_TARGET}")
 
     def __len__(self) -> int:
         return len(self.rules)

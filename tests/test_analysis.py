@@ -16,7 +16,14 @@ from tcamsplit.analysis import (
     rw,
     trial_rng,
 )
-from tcamsplit.errors import AllZero, BadCount, BadProbability, WidthTooSmall
+from tcamsplit.errors import (
+    AllZero,
+    BadCount,
+    BadProbability,
+    InstanceTooLarge,
+    WidthOverflow,
+    WidthTooSmall,
+)
 
 
 def test_rw_small_cases():
@@ -31,6 +38,17 @@ def test_rw_rejects():
         rw(0.7, 3)
     with pytest.raises(BadProbability):
         rw(-0.1, 3)
+
+
+def test_rw_exact_cap():
+    # the exact DP grew worse than n**2 with no limit: n = 400 took seconds
+    for p, n in [(Fraction(1, 6), 201), (Fraction(1, 2**40), 25), (0, 10**9)]:
+        with pytest.raises(InstanceTooLarge):
+            rw(p, n)
+    assert 0 < rw(Fraction(1, 2**40), 24) <= Fraction(24, 2**39)  # at most 2pn steps
+    # float arithmetic has no cap, so c_of_k is unchanged
+    assert rw(1 / 6, 300) == pytest.approx(math.sqrt(2 * 300 / (3 * math.pi)), rel=0.01)
+    assert c_of_k(301) > 0
 
 
 def test_rw_monotone():
@@ -159,6 +177,14 @@ def test_normalize_counts():
     assert q.k == 2 and q.weights[1] >= 1 and sum(q.weights) == 1 << q.width
     with pytest.raises(AllZero):
         normalize_counts([0, 0], 8)
+
+
+def test_normalize_counts_rejects_wide_widths():
+    # the width is checked before 2**width is used as a float scale
+    for multiple in (129, 2000, 10**20):
+        with pytest.raises(WidthOverflow):
+            normalize_counts([1, 2], multiple)
+    assert normalize_counts([1, 2], 40).width == 40
 
 
 def test_normalize_counts_rejects():

@@ -1,7 +1,12 @@
+import io
 import json
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcamsplit.cli import main
 from tcamsplit.core import sample_partition
@@ -220,11 +225,106 @@ def test_normalize_command(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "counts, multiple",
-    [("1\n1\n1\n", "0"), ("inf\n3\n", "8"), ("nan\n3\n", "8"), ("1e308\n1e308\n", "8")],
-    ids=["multiple-0", "inf", "nan", "huge"],
+    [("1\n1\n1\n", "0"), ("inf\n3\n", "8"), ("nan\n3\n", "8"), ("1e308\n1e308\n", "8"),
+     ("1\n2\n", "2000"), ("1\n2\n", "10" * 10)],
+    ids=["multiple-0", "inf", "nan", "huge", "multiple-2000", "multiple-10e19"],
 )
 def test_normalize_rejects(capsys, tmp_path, counts, multiple):
     f = tmp_path / "counts.txt"
     f.write_text(counts)
     code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", multiple)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_verify_rejects_huge_target(capsys, tmp_path):
+    # counts are indexed by target: 10**12 used to end in a MemoryError
+    f = tmp_path / "rules.txt"
+    f.write_text("1* 1000000000000\n** 1\n")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "p, n", [("1/0", "3"), ("0/0", "3"), ("1e-99999", "3"), ("1E+123456789", "3"), ("1/6", "201")]
+)
+def test_rw_rejects(capsys, p, n):
+    # ZeroDivisionError tracebacks, a DP over a 332 000-bit denominator, a parse
+    # that hung building 10**123456789, and a step count above the exact cap
+    code, out, err = run_cli(capsys, "rw", "--p", p, "--n", n)
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+# --- fuzz: every text gets exit 0, 1 or 2, never a traceback ---------------
+
+def _exit_code(argv, stdin=""):
+    """main's exit code, with argparse's usage exit as 2; any other exception
+    escapes and fails the test.  An exit 1 prints one `error:` line only."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    return code
+
+
+_NUMBER_CHARS = "0123456789+-./eE_ x"
+_int_texts = st.one_of(
+    st.integers(-3, 48), st.integers(-(10**30), 10**30)
+).map(str) | st.text(_NUMBER_CHARS, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.text(_NUMBER_CHARS, max_size=12),
+        st.text(max_size=8),
+    ),
+    _int_texts,
+)
+def test_fuzz_rw(p, n):
+    _exit_code(["rw", f"--p={p}", f"--n={n}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.integers(-5, 10**40).map(str),
+            st.text(_NUMBER_CHARS + "#", max_size=8),
+        ),
+        max_size=20,
+    ),
+    _int_texts,
+)
+def test_fuzz_normalize(lines, multiple):
+    _exit_code(["normalize", "--counts", "-", f"--multiple={multiple}"], "\n".join(lines))
+
+
+@st.composite
+def rule_texts(draw):
+    width = draw(st.integers(0, 8))
+    pattern = st.text("01*", min_size=width, max_size=width) | st.text("01*x ", max_size=10)
+    target = st.integers(-2, 20).map(str) | _int_texts
+    lines = draw(st.lists(st.tuples(pattern, target), max_size=24))
+    return "\n".join(f"{pat} {tgt}" for pat, tgt in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_texts(), st.none() | _int_texts, st.sampled_from(["table", "json", "csv"]))
+def test_fuzz_verify(rules, width, fmt):
+    argv = ["verify", "--rules", "-", f"--format={fmt}"]
+    if width is not None:
+        argv.append(f"--width={width}")
+    _exit_code(argv, rules)

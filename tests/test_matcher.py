@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -173,6 +174,85 @@ def test_zeroing_distances_stop_at_max_depth():
     assert matcher.zeroing_distances(3, 3, max_depth=0) == {(0, 0, 0): 0}
     with pytest.raises(InstanceTooLarge):
         matcher.zeroing_distances(3, 6)
+
+
+# --- the breadth-first oracle against a sorted-tuple search -----------------
+
+def _reference_successors(state, sizes, lo, hi):
+    """All states one transaction away (targets include the unallocated pool,
+    which is unconstrained)."""
+    n = len(state)
+    for i in range(n):
+        v = state[i]
+        for s in sizes:
+            dec = v - s
+            if dec >= lo:
+                rest = state[:i] + state[i + 1:]
+                # to the pool
+                yield tuple(sorted(rest + (dec,)))
+                # to another slot
+                for j in range(n - 1):
+                    w = rest[j] + s
+                    if w <= hi:
+                        yield tuple(sorted(rest[:j] + (w,) + rest[j + 1:] + (dec,)))
+            inc = v + s
+            if inc <= hi:
+                # from the pool
+                yield tuple(sorted(state[:i] + (inc,) + state[i + 1:]))
+
+
+def _reference_search(start, width, allow_negative, max_depth=math.inf, goal=None):
+    """Sort and hash every successor: the search the keyed one replaced."""
+    hi = 1 << (width + 1)
+    lo = -hi if allow_negative else 0
+    sizes = [1 << lvl for lvl in range(width + 2)]
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and depth < max_depth and goal not in dist:
+        depth += 1
+        level, frontier = frontier, []
+        for state in level:
+            for nxt in _reference_successors(state, sizes, lo, hi):
+                if nxt not in dist:
+                    dist[nxt] = depth
+                    frontier.append(nxt)
+            if goal in dist:
+                break
+    return dist
+
+
+def _check_distances(width, slots, allow_negative, max_depth):
+    ref = _reference_search((0,) * slots, width, allow_negative, max_depth)
+    for depth in range(max_depth + 1):
+        got = matcher.zeroing_distances(width, slots, allow_negative, depth)
+        assert got == {s: d for s, d in ref.items() if d <= depth}
+    return ref
+
+
+def test_zeroing_distances_match_reference_search():
+    for width in range(5):
+        for slots in range(1, 6):
+            for allow_negative in (False, True):
+                _check_distances(width, slots, allow_negative, 3)
+    # the widest key fields: 2**8 with negatives, five slots
+    for allow_negative in (False, True):
+        _check_distances(8, 5, allow_negative, 2)
+    # the benchmark's two searches
+    assert len(_check_distances(5, 4, False, 4)) == 5061
+    assert len(_check_distances(4, 4, True, 3)) == 5436
+
+
+def test_brute_force_lambda_matches_reference_search():
+    parts = [p for width in range(4) for p in _all_partitions(width, 4)]
+    # hand-built partitions, some with start values outside [lo, hi]
+    parts += [Partition((9, -1), 3), Partition((-1, 1, 8), 3), Partition((3, 2), 3),
+              Partition((40,), 3), Partition((-20, 36), 3), Partition((), 3)]
+    for p in parts:
+        for allow_negative in (False, True):
+            goal = (0,) * p.k
+            ref = _reference_search(tuple(sorted(p.weights)), p.width, allow_negative, goal=goal)
+            assert brute_force_lambda(p, allow_negative) == ref[goal]
 
 
 def _all_partitions(width, kmax):

@@ -17,13 +17,13 @@ from .errors import (
     InstanceTooLarge,
     WidthOverflow,
     WidthTooSmall,
+    ZeroWeight,
 )
 from .matcher import min_rules
 from .signed import lpm_bounds
 
 
-# exact rw(p, n) took about 1 s at n = 200 for p = 1/6, and longer as p's
-# denominator grows, since its numbers are as large as denominator**n
+# the exact DP's integers grow to about n * bit_length(denominator) bits
 RW_EXACT_MAX_STEPS = 200
 RW_EXACT_MAX_BITS = 1024
 
@@ -31,21 +31,28 @@ RW_EXACT_MAX_BITS = 1024
 def rw(p, n: int):
     """Expected |displacement| of an n-step walk moving +-1 each with
     probability p (else staying).  Exact DP over the displacement
-    distribution; arithmetic follows the type of p (Fraction stays exact).
-    Exact calls are limited to n <= RW_EXACT_MAX_STEPS and
-    n * bit_length(denominator(p)) <= RW_EXACT_MAX_BITS.
+    distribution; a rational p (Fraction, int) gives an exact Fraction,
+    a float p float arithmetic.  Exact calls are limited to
+    n <= RW_EXACT_MAX_STEPS and n * bit_length(denominator(p)) <= RW_EXACT_MAX_BITS.
     """
     if not 0 <= 2 * p <= 1:
         raise BadProbability(f"need 0 <= 2p <= 1, got p={p}")
     if n < 0:
         raise BadProbability(f"negative step count {n}")
-    if isinstance(p, numbers.Rational) and (
-        n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS
-    ):
-        raise InstanceTooLarge(
-            f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
-            f"<= {RW_EXACT_MAX_BITS}, got n={n}, denominator {p.denominator}"
-        )
+    if isinstance(p, numbers.Rational):
+        if n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS:
+            raise InstanceTooLarge(
+                f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
+                f"<= {RW_EXACT_MAX_BITS}, got n={n}, denominator {p.denominator}"
+            )
+        # p = a/b: after t steps every probability is an integer over b**t,
+        # reached with integer weights a (each move) and b - 2a (stay)
+        a, b = p.numerator, p.denominator
+        ways = [1]  # ways[i]: displacement i - t after t steps, times b**t
+        for _ in range(n):
+            pad = [0, 0, *ways, 0, 0]
+            ways = [a * (x + z) + (b - 2 * a) * y for x, y, z in zip(pad, pad[1:], pad[2:])]
+        return Fraction(sum(abs(i - n) * w for i, w in enumerate(ways)), b**n)
     stay = 1 - 2 * p
     # dist[i] = probability of displacement i - n after the steps so far
     dist = [p * 0] * (2 * n + 1)
@@ -223,34 +230,41 @@ def run_experiment(k: int, width: int, trials: int, seed: int) -> ExperimentStat
 def normalize_counts(counts, width_multiple: int) -> Partition:
     """Scale raw (possibly real) counts to a partition summing to a power of
     two whose width is a multiple of width_multiple, minimizing L1 distance
-    (largest-remainder rounding with a positivity floor of 1)."""
+    (largest-remainder rounding with a positivity floor of 1).  Count i
+    becomes target i + 1, so every count must be positive."""
     if width_multiple < 1:
         raise WidthTooSmall(f"width multiple {width_multiple} is not positive")
     if not all(math.isfinite(c) for c in counts):
         raise BadCount("counts must be finite numbers")
     if any(c > 1 << MAX_WIDTH for c in counts):
         raise BadCount(f"a count above 2**{MAX_WIDTH} needs a width above {MAX_WIDTH}")
-    vals = [float(c) for c in counts if c > 0]
-    if not vals:
+    if not any(c > 0 for c in counts):
         raise AllZero("no positive counts")
     if any(c < 0 for c in counts):
         raise AllZero("negative counts are not meaningful")
-    k = len(vals)
-    raw = math.fsum(vals)
-    need = max(k, math.ceil(raw))
+    zero = next((i for i, c in enumerate(counts) if c == 0), None)
+    if zero is not None:
+        raise ZeroWeight(f"count {zero + 1} is zero; target {zero + 1} would get no addresses")
+    # exact: a float is a dyadic rational, so scale every count to an integer
+    fracs = [Fraction(c) for c in counts]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    raw = sum(nums)  # the counts' sum, times den
+    k = len(nums)
+    need = max(k, -(-raw // den))
     # the least multiple of width_multiple with 2**width >= need
     width = -(-(need - 1).bit_length() // width_multiple) * width_multiple
     if width > MAX_WIDTH:
         raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
     total = 1 << width
-    ideal = [c * total / raw for c in vals]
-    base = [math.floor(x) for x in ideal]
+    # ideal share i is nums[i] * total / raw: floor it, keep the remainder
+    base, rems = map(list, zip(*(divmod(c * total, raw) for c in nums)))
     rest = total - sum(base)
-    order = sorted(range(k), key=lambda i: (base[i] - ideal[i], i))
+    order = sorted(range(k), key=lambda i: (-rems[i], i))
     for i in order[:rest]:
         base[i] += 1
     # positivity floor: steal from the most over-allocated parts
-    donors = sorted(range(k), key=lambda i: ideal[i] - base[i])
+    donors = sorted(range(k), key=lambda i: nums[i] * total - base[i] * raw)
     for i in range(k):
         if base[i] == 0:
             for j in donors:
@@ -262,10 +276,14 @@ def normalize_counts(counts, width_multiple: int) -> Partition:
 
 
 def read_counts(text: str) -> list[float]:
-    """One non-negative number per line; blank lines and '#' comments skipped."""
+    """One positive number per line; blank lines and '#' comments skipped.
+    A zero is refused here, with its line number, since normalize_counts
+    numbers the targets by count."""
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             out.append(float(line))
+            if out[-1] == 0:
+                raise ZeroWeight(f"line {lineno}: zero count; its target would get no addresses")
     return out

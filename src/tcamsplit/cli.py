@@ -37,21 +37,21 @@ def _partition_from_args(args) -> core.Partition:
 
 def cmd_compile(args) -> int:
     p = _partition_from_args(args)
-    table = tcam.synthesize_lpm(p)
+    seq = matcher.bit_matcher(p) if args.emit_sequence else None
+    table = tcam.synthesize_lpm(p) if seq is None else tcam._table_from_sequence(seq)
     lo, hi = signed.lpm_bounds(p)
     lam = len(table)
     if args.format == "json":
         obj = tcam.table_to_json_obj(table)
         obj.update({"lambda": lam, "lpm_lower": lo, "lpm_upper": hi})
-        if args.emit_sequence:
-            obj["sequence"] = core.sequence_to_json_obj(matcher.bit_matcher(p))
+        if seq is not None:
+            obj["sequence"] = core.sequence_to_json_obj(seq)
         _emit(json.dumps(obj, indent=2), args.out)
     else:
         lines = [tcam.table_to_text(table)]
         lines.append(f"# lambda={lam} lpm_lower={lo} lpm_upper={hi}")
-        if args.emit_sequence:
-            for t in matcher.bit_matcher(p):
-                lines.append(f"# tx {t.src} {t.size} {t.dst}")
+        if seq is not None:
+            lines += [f"# tx {t.src} {t.size} {t.dst}" for t in seq]
         _emit("\n".join(lines), args.out)
     return 0
 

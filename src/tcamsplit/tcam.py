@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import sub
 
@@ -58,13 +58,13 @@ class TernaryPattern:
         return self.value, self.value + self.count
 
     def __str__(self) -> str:
-        out = []
-        for pos in range(self.width - 1, -1, -1):
-            if (self.care >> pos) & 1:
-                out.append("1" if (self.value >> pos) & 1 else "0")
-            else:
-                out.append("*")
-        return "".join(out)
+        # bits read as decimal digits, 1 = set and 2 = wildcard: nothing carries
+        if not self.width:
+            return ""  # format(0, "00b") is "0"
+        fmt = f"0{self.width}b"
+        wild = ((1 << self.width) - 1) ^ self.care
+        digits = int(format(self.value, fmt)) + 2 * int(format(wild, fmt))
+        return str(digits).zfill(self.width).replace("2", "*")
 
     @classmethod
     def parse(cls, text: str) -> "TernaryPattern":
@@ -152,30 +152,30 @@ def synthesize_lpm(p: Partition) -> RuleTable:
     the lowest-addressed eligible block from its receiver and pins it to
     its donor with a rule stacked on top.
     """
-    seq = bit_matcher(p)
-    txs = seq.transactions
-    width = p.width
-    blocks: dict[int, list[tuple[int, int]]] = {}  # target -> [(start, level)]
-    last = txs[-1]
+    return _table_from_sequence(bit_matcher(p))
+
+
+def _table_from_sequence(seq: TransactionSequence) -> RuleTable:
+    """synthesize_lpm's table for its sequence seq = bit_matcher(p)."""
+    width = seq.width
+    last = seq.transactions[-1]
     rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
-    blocks[last.src] = [(0, width)]
-    for t in reversed(txs[:-1]):
+    # target -> its blocks [(start, level)], sorted by start
+    blocks: dict[int, list[tuple[int, int]]] = {last.src: [(0, width)]}
+    for t in reversed(seq.transactions[:-1]):
         lvl = t.level
         holding = blocks.get(t.dst, [])
-        eligible = [b for b in holding if b[1] >= lvl]
-        if not eligible:
-            raise InternalInvariantViolated(
-                f"no block of size 2**{lvl} held by target {t.dst}"
-            )
-        start, blvl = min(eligible)
-        holding.remove((start, blvl))
-        while blvl > lvl:
-            blvl -= 1
-            holding.append((start + (1 << blvl), blvl))
+        for j, (start, blvl) in enumerate(holding):
+            if blvl >= lvl:
+                break
+        else:
+            raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {t.dst}")
+        # the split-off buddies lie inside [start, start + 2**blvl), in start order
+        holding[j:j + 1] = [(start + (1 << b), b) for b in range(lvl, blvl)]
         rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
-        blocks.setdefault(t.src, []).append((start, lvl))
+        insort(blocks.setdefault(t.src, []), (start, lvl))
     rules.reverse()
-    return RuleTable(width, tuple(rules), p.k)
+    return RuleTable(width, tuple(rules), seq.parts)
 
 
 # --- evaluation -----------------------------------------------------------

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcamsplit.analysis import (
     c_of_k,
@@ -23,6 +25,7 @@ from tcamsplit.errors import (
     InstanceTooLarge,
     WidthOverflow,
     WidthTooSmall,
+    ZeroWeight,
 )
 
 
@@ -71,6 +74,33 @@ def test_rw_matches_direct_enumeration():
                 )
                 total += ways * p**left * p**right * (1 - 2 * p) ** stay * abs(left - right)
         assert rw(p, n) == total
+
+
+def _reference_rw(p, n):
+    """The displacement-distribution DP in p's own arithmetic."""
+    dist = [p * 0] * (2 * n + 1)
+    dist[n] = p * 0 + 1
+    for _ in range(n):
+        nxt = [p * 0] * (2 * n + 1)
+        for i, q in enumerate(dist):
+            nxt[i] += (1 - 2 * p) * q
+            if i > 0:
+                nxt[i - 1] += p * q
+            if i < 2 * n:
+                nxt[i + 1] += p * q
+        dist = nxt
+    return sum(abs(i - n) * q for i, q in enumerate(dist))
+
+
+def test_rw_matches_reference_dp():
+    for p in (Fraction(1, 6), Fraction(1, 2), Fraction(0), Fraction(13, 31), Fraction(123457, 1000003)):
+        for n in (0, 1, 2, 5, 17, 40):
+            got = rw(p, n)
+            assert type(got) is Fraction and got == _reference_rw(p, n)
+    # the float path (c_of_k) keeps its exact bits
+    for p in (1 / 6, 0.25, 0.5, 0.1):
+        for n in (0, 1, 9, 60):
+            assert rw(p, n) == _reference_rw(p, n)
 
 
 def test_c_of_k():
@@ -172,11 +202,65 @@ def test_normalize_counts():
     p = normalize_counts([1, 1, 1], 8)
     assert p.width == 8 and p.weights == (86, 85, 85)
     assert normalize_counts([10, 6], 4).weights == (10, 6)
-    # zero counts dropped, tiny parts keep the positivity floor
-    q = normalize_counts([0, 1000.0, 0.001], 4)
+    # tiny parts keep the positivity floor
+    q = normalize_counts([1000.0, 0.001], 4)
     assert q.k == 2 and q.weights[1] >= 1 and sum(q.weights) == 1 << q.width
     with pytest.raises(AllZero):
         normalize_counts([0, 0], 8)
+    # a zero count is refused: dropping it renumbered the targets after it
+    with pytest.raises(ZeroWeight, match="^count 1 is zero"):
+        normalize_counts([0, 3, 5], 3)
+    with pytest.raises(ZeroWeight, match="^line 3: zero count"):
+        read_counts("3\n# comment\n0\n5\n")
+
+
+def _reference_normalize(counts, multiple):
+    """The float algorithm in exact Fractions."""
+    vals = [Fraction(c) for c in counts]
+    raw = sum(vals)
+    width = 0
+    while 1 << width < max(len(vals), math.ceil(raw)):
+        width += multiple
+    ideal = [v * (1 << width) / raw for v in vals]
+    base = [math.floor(x) for x in ideal]
+    order = sorted(range(len(vals)), key=lambda i: (base[i] - ideal[i], i))
+    for i in order[:(1 << width) - sum(base)]:
+        base[i] += 1
+    donors = sorted(range(len(vals)), key=lambda i: ideal[i] - base[i])
+    for i in range(len(vals)):
+        if base[i] == 0:
+            j = next((j for j in donors if base[j] > 1), None)
+            if j is not None:
+                base[j] -= 1
+                base[i] = 1
+    return width, tuple(base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=2.0**-40, max_value=2.0**70) | st.integers(1, 2**80),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 128),
+)
+def test_normalize_counts_matches_fraction_reference(counts, multiple):
+    width, weights = _reference_normalize(counts, multiple)
+    if width > 128:
+        with pytest.raises(WidthOverflow):
+            normalize_counts(counts, multiple)
+    else:
+        p = normalize_counts(counts, multiple)
+        assert (p.width, p.weights) == (width, weights)
+
+
+def test_normalize_counts_exact_at_wide_widths():
+    # scaling in floats lost the L1-minimal rounding from width 53: distance
+    # 4/3, not 8/7 (the CLI test covers [1, 2], refused from width 55)
+    p = normalize_counts([3, 7, 11], 53)
+    assert p.weights == (1286742750677284, 3002399751580331, 4718056752483377)
+    assert sum(abs(w - Fraction(c << 53, 21)) for w, c in zip(p.weights, (3, 7, 11))) == Fraction(8, 7)
 
 
 def test_normalize_counts_rejects_wide_widths():

@@ -75,6 +75,14 @@ def test_compile_json_bytes(capsys):
     assert code == 0 and out == json.dumps(table, indent=2) + "\n"
 
 
+def test_compile_text_bytes(capsys):
+    text = "010 2\n00* 3\n*** 1\n# lambda=3 lpm_lower=3 lpm_upper=3\n"
+    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2")
+    assert code == 0 and out == text
+    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2", "--emit-sequence")
+    assert code == 0 and out == text + "# tx 2 1 1\n# tx 3 2 1\n# tx 1 8 0\n"
+
+
 def test_compile_bad_input_exit_1(capsys):
     code, _, err = run_cli(capsys, "compile", "--weights", "5,1,1", "--width", "3")
     assert code == 1 and "error" in err
@@ -234,6 +242,22 @@ def test_normalize_rejects(capsys, tmp_path, counts, multiple):
     f.write_text(counts)
     code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", multiple)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_normalize_zero_count_names_line(capsys, tmp_path):
+    # the zero used to be dropped, so "3,5" came out as targets 1 and 2
+    f = tmp_path / "counts.txt"
+    f.write_text("0\n3\n5\n")
+    code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", "3")
+    assert code == 1 and out == "" and err.startswith("error: line 1:")
+
+
+def test_normalize_wide_width(capsys, tmp_path):
+    # float scaling refused these counts with BadSum from width 55
+    f = tmp_path / "counts.txt"
+    f.write_text("1\n2\n")
+    code, out, _ = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", "60")
+    assert code == 0 and out == "width=60\n384307168202282325,768614336404564651\n"
 
 
 def test_verify_rejects_huge_target(capsys, tmp_path):

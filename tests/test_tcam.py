@@ -25,6 +25,7 @@ from tcamsplit.tcam import (
     table_to_sequence,
     table_to_text,
 )
+from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 EX1 = "011 1\n01* 2\n0** 3\n*** 1"
 REMARK3_W4 = "**00 1\n00** 2\n01** 3\n10** 4\n11** 5"
@@ -41,6 +42,40 @@ def test_pattern_parse_format():
     q = TernaryPattern.parse("*0*")
     assert not q.is_prefix() and q.count == 4
     assert [a for a in range(8) if q.matches(a)] == [0, 1, 4, 5]
+
+
+def _per_bit_str(pattern):
+    """One character per bit, most significant first."""
+    return "".join(
+        ("1" if pattern.value >> pos & 1 else "0") if pattern.care >> pos & 1 else "*"
+        for pos in range(pattern.width - 1, -1, -1)
+    )
+
+
+@st.composite
+def ternary_patterns(draw):
+    width = draw(st.integers(0, 128))
+    care = draw(st.integers(0, (1 << width) - 1))
+    return TernaryPattern(width, care, draw(st.integers(0, (1 << width) - 1)) & care)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ternary_patterns())
+def test_pattern_str_matches_per_bit(pattern):
+    assert str(pattern) == _per_bit_str(pattern)
+    assert TernaryPattern.parse(str(pattern)) == pattern
+
+
+def test_pattern_str_edge_cases():
+    for width in (0, 1, 2, 64, 127, 128):
+        full = (1 << width) - 1
+        for care, value in [(full, full), (full, 0), (full, full // 3), (0, 0)]:
+            pattern = TernaryPattern(width, care, value)
+            assert str(pattern) == _per_bit_str(pattern)
+    assert str(TernaryPattern(0, 0, 0)) == ""
+    assert str(TernaryPattern(3, 0, 0)) == "***"
+    assert str(TernaryPattern(3, 7, 0)) == "000"
+    assert str(TernaryPattern(128, (1 << 128) - 1, 1)) == "0" * 127 + "1"
 
 
 def test_synthesize_basic():
@@ -74,6 +109,57 @@ def test_round_trip_random():
         t = synthesize_lpm(p)
         assert len(t) == min_rules(p)
         assert evaluate_table(t) == [0, *p.weights]
+
+
+def _reference_synthesize(p):
+    """Rescan every held block for the lowest-addressed eligible one: the
+    allocator the start-sorted block lists replaced."""
+    txs = bit_matcher(p).transactions
+    width = p.width
+    last = txs[-1]
+    rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
+    blocks = {last.src: [(0, width)]}  # target -> [(start, level)]
+    for t in reversed(txs[:-1]):
+        lvl = t.level
+        holding = blocks.get(t.dst, [])
+        start, blvl = min(b for b in holding if b[1] >= lvl)
+        holding.remove((start, blvl))
+        while blvl > lvl:
+            blvl -= 1
+            holding.append((start + (1 << blvl), blvl))
+        rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
+        blocks.setdefault(t.src, []).append((start, lvl))
+    rules.reverse()
+    return RuleTable(width, tuple(rules), p.k)
+
+
+def _worst_partitions():
+    for width in (2, 3, 8, 33, 100):
+        yield gen_k3(width)
+    for k in (4, 5, 6, 7, 16, 37, 100):
+        for width in (12, 40, 100):
+            yield gen_triplets(k, width)
+    for k in (2, 3, 5, 16, 37, 100):
+        for width in (9, 40, 100):
+            yield gen_general_hard(k, width)
+
+
+def test_synthesize_matches_reference_allocator():
+    rng = random.Random(16)
+    parts = list(_worst_partitions())
+    for k in (1, 2, 3, 5, 8, 16, 37, 100):
+        for width in (max(1, (k - 1).bit_length()), 7, 12, 32, 64, 100):
+            parts += [sample_partition(k, width, rng) for _ in range(4)]
+    for p in parts:
+        assert synthesize_lpm(p) == _reference_synthesize(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 100), st.integers(0, 100), st.integers(0, 2**32))
+def test_synthesize_matches_reference_allocator_random(k, width, seed):
+    width = max(width, (k - 1).bit_length())
+    p = sample_partition(k, width, random.Random(seed))
+    assert synthesize_lpm(p) == _reference_synthesize(p)
 
 
 def test_evaluate_paper_tables():

@@ -1,11 +1,9 @@
 """Minimal prefix-match rule tables for weighted traffic splitting."""
 
 from .core import (
-    ExtendedState,
     Partition,
     Transaction,
     TransactionSequence,
-    apply_sequence,
     new_partition,
     sample_partition,
     validate_sequence,
@@ -15,7 +13,6 @@ from .matcher import (
     bit_matcher,
     brute_force_lambda,
     min_rules,
-    min_rules_below,
     random_matcher,
     signed_matcher,
 )
@@ -37,7 +34,6 @@ from .tcam import (
     RuleTable,
     TernaryPattern,
     evaluate_table,
-    intersect_patterns,
     synthesize_lpm,
     table_to_sequence,
 )

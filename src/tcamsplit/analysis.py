@@ -39,36 +39,24 @@ def rw(p, n: int):
         raise BadProbability(f"need 0 <= 2p <= 1, got p={p}")
     if n < 0:
         raise BadProbability(f"negative step count {n}")
-    if isinstance(p, numbers.Rational):
+    exact = isinstance(p, numbers.Rational)
+    if exact:
         if n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS:
             raise InstanceTooLarge(
                 f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
                 f"<= {RW_EXACT_MAX_BITS}, got n={n}, denominator {p.denominator}"
             )
-        # p = a/b: after t steps every probability is an integer over b**t,
-        # reached with integer weights a (each move) and b - 2a (stay)
-        a, b = p.numerator, p.denominator
-        ways = [1]  # ways[i]: displacement i - t after t steps, times b**t
-        for _ in range(n):
-            pad = [0, 0, *ways, 0, 0]
-            ways = [a * (x + z) + (b - 2 * a) * y for x, y, z in zip(pad, pad[1:], pad[2:])]
-        return Fraction(sum(abs(i - n) * w for i, w in enumerate(ways)), b**n)
-    stay = 1 - 2 * p
-    # dist[i] = probability of displacement i - n after the steps so far
-    dist = [p * 0] * (2 * n + 1)
-    dist[n] = p * 0 + 1
+    # p = a/b: after t steps every probability is an integer over b**t,
+    # reached with integer weights a (each move) and b - 2a (stay); a float
+    # p runs the same steps with b = 1, in the order p*x + (1-2p)*y + p*z
+    a, b = (p.numerator, p.denominator) if exact else (p, 1)
+    stay = b - 2 * a
+    ways = [a * 0 + 1]  # ways[i]: displacement i - t after t steps, times b**t
     for _ in range(n):
-        nxt = [p * 0] * (2 * n + 1)
-        for i, q in enumerate(dist):
-            if not q:
-                continue
-            nxt[i] += stay * q
-            if i > 0:
-                nxt[i - 1] += p * q
-            if i < 2 * n:
-                nxt[i + 1] += p * q
-        dist = nxt
-    return sum(abs(i - n) * q for i, q in enumerate(dist))
+        pad = [0, 0, *ways, 0, 0]
+        ways = [a * x + stay * y + a * z for x, y, z in zip(pad, pad[1:], pad[2:])]
+    total = sum(abs(i - n) * w for i, w in enumerate(ways))
+    return Fraction(total, b**n) if exact else total
 
 
 def c_of_k(k: int) -> float:

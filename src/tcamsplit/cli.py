@@ -31,12 +31,8 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _partition_from_args(args) -> core.Partition:
-    return core.partition_from_text(args.weights, args.width)
-
-
 def cmd_compile(args) -> int:
-    p = _partition_from_args(args)
+    p = core.partition_from_text(args.weights, args.width)
     seq = matcher.bit_matcher(p) if args.emit_sequence else None
     table = tcam.synthesize_lpm(p) if seq is None else tcam._table_from_sequence(seq)
     lo, hi = signed.lpm_bounds(p)
@@ -57,7 +53,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    p = _partition_from_args(args)
+    p = core.partition_from_text(args.weights, args.width)
     rep = signed.bounds_report(p)
     lam = matcher.min_rules(p)
     fields = {
@@ -93,7 +89,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    p = _partition_from_args(args)
+    p = core.partition_from_text(args.weights, args.width)
     if args.matcher == "bm":
         seq = matcher.bit_matcher(p)
     elif args.matcher == "sm":
@@ -192,27 +188,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    def common(sp, *formats):
+        # only the formats the subcommand renders, so others exit 2
+        if formats:
+            sp.add_argument("--format", choices=("table", *formats), default="table")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("compile", help="partition -> minimal prefix rule table")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--emit-sequence", action="store_true")
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_compile)
 
     sp = sub.add_parser("bounds", help="size bounds for a partition")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--width", type=int, default=None)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("verify", help="evaluate a rule table (file or '-')")
     sp.add_argument("--rules", required=True)
     sp.add_argument("--width", type=int, default=None)
-    common(sp)
+    common(sp, "json", "csv")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sequence", help="emit a zeroing transaction sequence")
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--matcher", choices=("bm", "rm", "sm", "anchor"), default="bm")
     sp.add_argument("--seed", type=int, default=None)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_sequence)
 
     sp = sub.add_parser("sample", help="Monte Carlo partition statistics")
@@ -228,20 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    common(sp)
+    common(sp, "json", "csv")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("worstcase", help="extremal partition generators")
     sp.add_argument("--kind", choices=("k2", "k3", "triplets", "general"), required=True)
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--k", type=int, default=None)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_worstcase)
 
     sp = sub.add_parser("normalize", help="round raw counts to a partition")
     sp.add_argument("--counts", required=True, help="file of counts or '-'")
     sp.add_argument("--multiple", type=int, default=8)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_normalize)
 
     sp = sub.add_parser("rw", help="expected walk displacement, exact")
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("opt", "rnd", "mix"), required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    common(sp)
+    common(sp, "json")
     sp.set_defaults(func=cmd_game)
 
     return parser

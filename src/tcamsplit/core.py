@@ -98,49 +98,6 @@ class TransactionSequence:
     def __iter__(self):
         return iter(self.transactions)
 
-    def concat(self, other: "TransactionSequence") -> "TransactionSequence":
-        assert self.width == other.width and self.parts == other.parts
-        return TransactionSequence(
-            self.transactions + other.transactions, self.width, self.parts
-        )
-
-
-@dataclass(frozen=True)
-class ExtendedState:
-    """x_0 = -2**width plus the k live weights; the total is always zero."""
-
-    values: tuple[int, ...]  # index 0..k
-
-    @property
-    def x0(self) -> int:
-        return self.values[0]
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return self.values[1:]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-
-def initial_state(p: Partition) -> ExtendedState:
-    return ExtendedState((-(1 << p.width),) + p.weights)
-
-
-def _apply(values: list[int], t: Transaction, k: int) -> None:
-    if not (0 <= t.src <= k) or not (0 <= t.dst <= k):
-        raise IndexOutOfRange(f"transaction {t} targets outside 0..{k}")
-    values[t.src] -= t.size
-    values[t.dst] += t.size
-
-
-def apply_sequence(p: Partition, s: TransactionSequence) -> ExtendedState:
-    """Apply every transaction in order; return the final extended state."""
-    values = list(initial_state(p).values)
-    for t in s:
-        _apply(values, t, p.k)
-    return ExtendedState(tuple(values))
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -149,7 +106,7 @@ class ValidationReport:
     sizes_monotone: bool         # transaction sizes non-decreasing
     power_of_two_sizes: bool
     zero_target_terminal_only: bool  # target 0 touched only by the last transaction
-    final: ExtendedState
+    final: tuple[int, ...]       # x_0 = -2**width, then x_1..x_k
 
     def ok_for_synthesis(self) -> bool:
         return (
@@ -161,11 +118,9 @@ class ValidationReport:
         )
 
 
-def validate_sequence(
-    p: Partition, s: TransactionSequence, require_nonnegative: bool = True
-) -> ValidationReport:
-    """Check the zeroing / nonnegativity / monotonicity flags for a sequence."""
-    values = list(initial_state(p).values)
+def validate_sequence(p: Partition, s: TransactionSequence) -> ValidationReport:
+    """Replay s from x_0 = -2**width, x_1..x_k = the weights; report the flags."""
+    values = [-(1 << p.width), *p.weights]
     nonneg = True
     monotone = True
     pow2 = all(t.is_power_of_two for t in s)
@@ -173,22 +128,24 @@ def validate_sequence(
     last = len(s.transactions) - 1
     prev_size = 0
     for idx, t in enumerate(s):
-        _apply(values, t, p.k)
-        if require_nonnegative and any(v < 0 for v in values[1:]):
+        if not (0 <= t.src <= p.k) or not (0 <= t.dst <= p.k):
+            raise IndexOutOfRange(f"transaction {t} targets outside 0..{p.k}")
+        values[t.src] -= t.size
+        values[t.dst] += t.size
+        if any(v < 0 for v in values[1:]):
             nonneg = False
         if t.size < prev_size:
             monotone = False
         prev_size = t.size
         if (t.src == 0 or t.dst == 0) and idx != last:
             zero_terminal = False
-    final = ExtendedState(tuple(values))
     return ValidationReport(
-        zeroes=final.is_zero(),
+        zeroes=not any(values),
         nonnegative=nonneg,
         sizes_monotone=monotone,
         power_of_two_sizes=pow2,
         zero_target_terminal_only=zero_terminal,
-        final=final,
+        final=tuple(values),
     )
 
 
@@ -198,6 +155,8 @@ def sample_partition(k: int, width: int, rng: random.Random) -> Partition:
     Draws k-1 distinct cut points in {1, ..., 2**width - 1} and takes
     consecutive differences.
     """
+    if not 0 <= width <= MAX_WIDTH:
+        raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
     total = 1 << width
     if not 1 <= k <= total:
         raise KTooLarge(f"k={k} outside 1..2**{width}")
@@ -233,24 +192,8 @@ def partition_to_json(p: Partition) -> str:
     return json.dumps({"width": p.width, "weights": list(p.weights)})
 
 
-def partition_from_json(text: str) -> Partition:
-    obj = json.loads(text)
-    return new_partition(obj["weights"], obj["width"])
-
-
 def sequence_to_text(s: TransactionSequence) -> str:
     return "\n".join(f"{t.src} {t.size} {t.dst}" for t in s)
-
-
-def sequence_from_text(text: str, width: int, parts: int) -> TransactionSequence:
-    txs = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        src, size, dst = line.split()
-        txs.append(Transaction(int(src), int(dst), int(size)))
-    return TransactionSequence(tuple(txs), width, parts)
 
 
 def sequence_to_json_obj(s: TransactionSequence) -> list[dict]:

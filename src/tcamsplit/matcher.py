@@ -129,11 +129,6 @@ def min_rules(p: Partition) -> int:
     return lam
 
 
-def min_rules_below(p: Partition, m: int) -> int:
-    """Count of optimal-sequence transactions with level < m."""
-    return sum(1 for t in bit_matcher(p) if t.level < m)
-
-
 def random_matcher(p: Partition, rng: random.Random) -> TransactionSequence:
     """Uniform random pairing per level; direction decided by bit d+1."""
 

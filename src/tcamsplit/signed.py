@@ -20,21 +20,6 @@ class SignedDigits:
     def nonzero(self) -> int:
         return sum(1 for d in self.digits if d)
 
-    def __str__(self) -> str:
-        # MSB first; "-" renders a -1 digit
-        if not self.digits:
-            return "0"
-        sym = {1: "1", 0: "0", -1: "-"}
-        return "".join(sym[d] for d in reversed(self.digits))
-
-    @classmethod
-    def parse(cls, text: str) -> "SignedDigits":
-        val = {"1": 1, "0": 0, "-": -1}
-        digits = tuple(val[c] for c in reversed(text.strip()))
-        while digits and digits[-1] == 0:
-            digits = digits[:-1]
-        return cls(digits)
-
 
 def to_naf(n: int) -> SignedDigits:
     """Canonical non-adjacent form of n >= 0, built LSB to MSB."""

@@ -1,7 +1,6 @@
 """Ternary / prefix rule tables: synthesis, exact evaluation, intersection."""
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import sub
@@ -92,17 +91,6 @@ def intersect_two(a: TernaryPattern, b: TernaryPattern) -> TernaryPattern | None
     return TernaryPattern(a.width, a.care | b.care, a.value | b.value)
 
 
-def intersect_patterns(patterns) -> TernaryPattern | None:
-    """Merged pattern matching exactly the common addresses, or None."""
-    patterns = list(patterns)
-    acc = patterns[0]
-    for q in patterns[1:]:
-        acc = intersect_two(acc, q)
-        if acc is None:
-            return None
-    return acc
-
-
 @dataclass(frozen=True)
 class Rule:
     pattern: TernaryPattern
@@ -120,15 +108,19 @@ class RuleTable:
     def __post_init__(self):
         if not 0 <= self.width <= MAX_WIDTH:
             raise WidthOverflow(f"table width {self.width} outside 0..{MAX_WIDTH}")
-        odd = {r.pattern.width for r in self.rules} - {self.width}
-        if odd:
-            raise WidthMismatch(f"pattern width {min(odd)}, table width {self.width}")
-        # counts are indexed by target, so -1 would silently count for target k
-        low = min((r.target for r in self.rules), default=0)
-        if low < 0:
-            raise IndexOutOfRange(f"target {low} is negative")
         if self.k > MAX_TARGET:
             raise KTooLarge(f"target {self.k} above {MAX_TARGET}")
+        width = self.width
+        for i, r in enumerate(self.rules):
+            pat = r.pattern
+            # a stray bit would paint an interval past the address space
+            if pat.width != width or (pat.care | pat.value) >> width:
+                raise WidthMismatch(f"rule {i}: pattern does not fit table width {width}")
+            if pat.value & ~pat.care:
+                raise InternalInvariantViolated(f"rule {i}: value bits outside the care mask")
+            # counts are indexed by target, so -1 would silently count for target k
+            if r.target < 0:
+                raise IndexOutOfRange(f"target {r.target} is negative")
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -318,17 +310,3 @@ def table_to_json_obj(table: RuleTable) -> dict:
         "width": table.width,
         "rules": [{"pattern": str(r.pattern), "target": r.target} for r in table.rules],
     }
-
-
-def table_to_json(table: RuleTable) -> str:
-    return json.dumps(table_to_json_obj(table))
-
-
-def table_from_json(text: str) -> RuleTable:
-    obj = json.loads(text)
-    rules = tuple(
-        Rule(TernaryPattern.parse(r["pattern"]), int(r["target"]))
-        for r in obj["rules"]
-    )
-    k = max((r.target for r in rules), default=0)
-    return RuleTable(int(obj["width"]), rules, k)

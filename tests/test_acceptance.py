@@ -107,7 +107,7 @@ def test_criterion_4_bound_sandwich():
         ok = ok and k <= lo <= lam <= hi <= worstcase_cap(k, w) + k
         anchor = anchor_sequence(p)
         ok = ok and len(anchor) == hi
-        ok = ok and validate_sequence(p, anchor, require_nonnegative=False).zeroes
+        ok = ok and validate_sequence(p, anchor).zeroes
         if not ok:
             break
     report("criterion 4: bound sandwich and anchor length on 10^4 samples", ok)

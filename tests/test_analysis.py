@@ -98,9 +98,11 @@ def test_rw_matches_reference_dp():
             got = rw(p, n)
             assert type(got) is Fraction and got == _reference_rw(p, n)
     # the float path (c_of_k) keeps its exact bits
-    for p in (1 / 6, 0.25, 0.5, 0.1):
+    rng = random.Random(16)
+    for p in (1 / 6, 0.25, 0.5, 0.1, 0.0, *(rng.uniform(0, 0.5) for _ in range(20))):
         for n in (0, 1, 9, 60):
-            assert rw(p, n) == _reference_rw(p, n)
+            got = rw(p, n)
+            assert type(got) is float and got == _reference_rw(p, n)
 
 
 def test_c_of_k():

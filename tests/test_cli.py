@@ -94,6 +94,19 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rw", "--p", "1/6", "--n", "3", "--format", "json"],
+     ["bounds", "--weights", "5,1,2", "--format", "csv"]],
+    ids=["rw-has-no-format", "bounds-has-no-csv"],
+)
+def test_unrendered_format_exit_2(capsys, argv):
+    # these used to print the plain value, or key=value lines, under json/csv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_bounds(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--weights", "683,341", "--width", "10")
     assert code == 0
@@ -222,6 +235,11 @@ def test_sample_command(capsys):
     header, row = out.strip().splitlines()
     assert header == "k,W,trials,mean_lambda_per_kw,se,mean_lb_ratio,mean_ub_ratio"
     assert row.startswith("3,16,50,")
+    argv = ("sample", "--k", "3", "--width", "16", "--trials", "50", "--seed", "7")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, out, "")
+    # a width outside 0..128 used to fail untyped ("negative shift count") or run
+    code, out, err = run_cli(capsys, "sample", "--k", "3", "--width", "-1", "--trials", "1", "--seed", "7")
+    assert code == 1 and out == "" and err == "error: width -1 outside 0..128\n"
 
 
 def test_normalize_command(capsys, tmp_path):

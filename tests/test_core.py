@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -10,7 +11,6 @@ from tcamsplit.core import (
     Partition,
     Transaction,
     TransactionSequence,
-    apply_sequence,
     new_partition,
     sample_partition,
     validate_sequence,
@@ -45,20 +45,23 @@ def test_new_partition_rejects():
 def test_apply_sequence_example():
     p = new_partition([5, 1, 2], 3)
     s = seq(3, 3, (1, 1, 2), (2, 2, 3), (3, 4, 1), (1, 8, 0))
-    assert apply_sequence(p, s).is_zero()
+    rep = validate_sequence(p, s)
+    assert rep.zeroes and rep.final == (0, 0, 0, 0)
 
 
 def test_apply_sequence_trivial():
-    assert apply_sequence(new_partition([8], 3), seq(3, 1, (1, 8, 0))).is_zero()
-    assert apply_sequence(
+    assert validate_sequence(new_partition([8], 3), seq(3, 1, (1, 8, 0))).zeroes
+    assert validate_sequence(
         new_partition([4, 4], 3), seq(3, 2, (1, 4, 2), (2, 8, 0))
-    ).is_zero()
+    ).zeroes
+    rep = validate_sequence(new_partition([4, 4], 3), seq(3, 2, (1, 4, 2)))
+    assert not rep.zeroes and rep.final == (-8, 0, 8)
 
 
 def test_apply_sequence_index_out_of_range():
     p = new_partition([4, 4], 3)
     with pytest.raises(IndexOutOfRange):
-        apply_sequence(p, seq(3, 2, (1, 4, 3)))
+        validate_sequence(p, seq(3, 2, (1, 4, 3)))
 
 
 def test_validate_sequence_flags():
@@ -87,21 +90,9 @@ def test_sum_conservation_random_sequences():
         txs.append(Transaction(s, d, 1 << lvl))
         values[s] -= 1 << lvl
         values[d] += 1 << lvl
-        state = apply_sequence(p, TransactionSequence(tuple(txs), 3, 3))
-        assert sum(state.values) == 0
-        assert list(state.values) == values
-
-
-def test_concat_matches_sequential_application():
-    p = new_partition([5, 1, 2], 3)
-    s1 = seq(3, 3, (1, 1, 2))
-    s2 = seq(3, 3, (2, 2, 3), (3, 4, 1), (1, 8, 0))
-    combined = apply_sequence(p, s1.concat(s2))
-    # replay s2 from the state after s1
-    mid = apply_sequence(p, s1)
-    q = new_partition(mid.weights, 3)
-    assert apply_sequence(q, s2).is_zero()
-    assert combined.is_zero()
+        final = validate_sequence(p, TransactionSequence(tuple(txs), 3, 3)).final
+        assert sum(final) == 0
+        assert list(final) == values
 
 
 def test_sampler_edges():
@@ -112,6 +103,10 @@ def test_sampler_edges():
         sample_partition(17, 4, rng)
     with pytest.raises(KTooLarge):
         sample_partition(0, 4, rng)
+    for width in (-1, 129, 200):
+        with pytest.raises(WidthOverflow):
+            sample_partition(3, width, rng)
+    assert sum(sample_partition(3, 128, rng).weights) == 1 << 128
 
 
 def test_sampler_invariants():
@@ -150,8 +145,8 @@ def test_text_and_json_round_trips():
     assert p == new_partition([5, 1, 2], 3)
     with pytest.raises(BadSum):
         core.partition_from_text("5,1,1")
-    assert core.partition_from_json(core.partition_to_json(p)) == p
+    assert json.loads(core.partition_to_json(p)) == {"width": 3, "weights": [5, 1, 2]}
     s = seq(3, 3, (1, 1, 2), (1, 8, 0))
-    assert core.sequence_from_text(core.sequence_to_text(s), 3, 3) == s
+    assert core.sequence_to_text(s) == "1 1 2\n1 8 0"
     obj = core.sequence_to_json_obj(s)
     assert obj[0] == {"src": 1, "level": 0, "size": 1, "dst": 2}

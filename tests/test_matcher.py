@@ -13,7 +13,6 @@ from tcamsplit.matcher import (
     bit_matcher,
     brute_force_lambda,
     min_rules,
-    min_rules_below,
     random_matcher,
     signed_matcher,
 )
@@ -38,12 +37,6 @@ def test_bit_matcher_output_is_clean():
         s = bit_matcher(p)
         rep = validate_sequence(p, s)
         assert rep.ok_for_synthesis()
-
-
-def test_lambda_m():
-    p = new_partition([5, 1, 2], 3)
-    assert min_rules_below(p, 3) == min_rules(p) - 1  # only the sweep is at level W
-    assert min_rules_below(p, 0) == 0
 
 
 def test_zeroed_bits_accounting():
@@ -127,7 +120,7 @@ def test_anchor_sequence():
         p = new_partition(ws, w)
         s = anchor_sequence(p)
         assert len(s) == exp == naf_total(p) + 1 - naf_max(p)
-        assert validate_sequence(p, s, require_nonnegative=False).zeroes
+        assert validate_sequence(p, s).zeroes
     # ascending level order
     s = anchor_sequence(new_partition([5, 5, 5, 1], 4))
     sizes = [t.size for t in s]

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from tcamsplit.core import new_partition, sample_partition, validate_sequence
 from tcamsplit.errors import (
     IncompleteCover,
     IndexOutOfRange,
+    InternalInvariantViolated,
     TooLargeToEvaluate,
     WidthMismatch,
     WidthOverflow,
@@ -19,7 +22,7 @@ from tcamsplit.tcam import (
     RuleTable,
     TernaryPattern,
     evaluate_table,
-    intersect_patterns,
+    intersect_two,
     synthesize_lpm,
     table_from_text,
     table_to_sequence,
@@ -215,14 +218,13 @@ def test_sequence_round_trip_random():
 
 
 def test_intersect():
-    pats = [TernaryPattern.parse(x) for x in ("0*", "*0")]
-    merged = intersect_patterns(pats)
+    merged = intersect_two(TernaryPattern.parse("0*"), TernaryPattern.parse("*0"))
     assert str(merged) == "00" and merged.count == 1
-    assert intersect_patterns([TernaryPattern.parse("01"), TernaryPattern.parse("10")]) is None
-    ident = intersect_patterns([TernaryPattern.parse("***")])
+    assert intersect_two(TernaryPattern.parse("01"), TernaryPattern.parse("10")) is None
+    ident = intersect_two(TernaryPattern.parse("***"), TernaryPattern.parse("***"))
     assert str(ident) == "***" and ident.count == 8
     with pytest.raises(WidthMismatch):
-        intersect_patterns([TernaryPattern.parse("0*"), TernaryPattern.parse("0**")])
+        intersect_two(TernaryPattern.parse("0*"), TernaryPattern.parse("0**"))
 
 
 def test_intersect_power_of_two_random():
@@ -235,7 +237,7 @@ def test_intersect_power_of_two_random():
             )
             for _ in range(rng.randrange(1, 6))
         ]
-        merged = intersect_patterns(pats)
+        merged = reduce(lambda acc, q: acc and intersect_two(acc, q), pats)
         if merged is None:
             continue
         assert merged.count & (merged.count - 1) == 0
@@ -247,7 +249,9 @@ def test_intersect_power_of_two_random():
 def test_table_text_json_round_trip():
     t = synthesize_lpm(new_partition([5, 1, 2], 3))
     assert tcam.table_from_text(table_to_text(t)) == t
-    assert tcam.table_from_json(tcam.table_to_json(t)) == t
+    obj = tcam.table_to_json_obj(t)
+    assert obj["width"] == 3
+    assert [f"{r['pattern']} {r['target']}" for r in obj["rules"]] == table_to_text(t).splitlines()
     commented = "# header\n" + table_to_text(t) + "\n# trailing\n"
     assert tcam.table_from_text(commented) == t
 
@@ -257,12 +261,10 @@ def test_table_from_text_width_check():
         table_from_text("0* 1\n0** 2")
     with pytest.raises(WidthMismatch):
         table_from_text("0* 1", width=3)
-    with pytest.raises(WidthMismatch):
-        tcam.table_from_json('{"width": 2, "rules": [{"pattern": "***", "target": 1}]}')
     with pytest.raises(WidthOverflow):
         table_from_text("1" + "*" * 199 + " 1")
     with pytest.raises(WidthOverflow):
-        tcam.table_from_json(f'{{"width": 200, "rules": [{{"pattern": "{"*" * 200}", "target": 1}}]}}')
+        RuleTable(200, (Rule(TernaryPattern.parse("*" * 200), 1),), 1)
     assert table_from_text("*" * 128 + " 1").width == 128
 
 
@@ -272,7 +274,18 @@ def test_rule_table_rejects_negative_targets():
     with pytest.raises(IndexOutOfRange):
         table_from_text("1* -1\n** 1")
     with pytest.raises(IndexOutOfRange):
-        tcam.table_from_json('{"width": 2, "rules": [{"pattern": "**", "target": -1}]}')
+        RuleTable(2, (Rule(TernaryPattern.parse("1*"), 1), Rule(TernaryPattern.parse("**"), -1)), 1)
+
+
+def test_rule_table_rejects_stray_pattern_bits():
+    # evaluate_table once painted these past the address space: [0, 3, 1]
+    star = Rule(TernaryPattern.parse("**"), 2)
+    with pytest.raises(InternalInvariantViolated):
+        RuleTable(2, (Rule(TernaryPattern(2, 0, 1), 1), star), 2)
+    with pytest.raises(WidthMismatch):
+        RuleTable(2, (Rule(TernaryPattern(2, 3, 4), 1), star), 2)
+    with pytest.raises(WidthMismatch):
+        RuleTable(2, (Rule(TernaryPattern(2, 4, 0), 1), star), 2)
 
 
 def test_lookup_first_match_priority():
@@ -392,3 +405,9 @@ def test_sequence_zeroes_at_full_size(seed):
     p = sample_partition(100, 100, random.Random(seed))
     s = table_to_sequence(synthesize_lpm(p))
     assert validate_sequence(p, s).zeroes
+
+
+def test_readme_python_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})

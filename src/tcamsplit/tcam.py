@@ -18,7 +18,8 @@ from .errors import (
 from .matcher import bit_matcher
 
 _IE_RULE_LIMIT = 20
-_ENUM_WIDTH_LIMIT = 24
+_BITSET_WIDTH_LIMIT = 24
+_CHUNK_BITS = 16  # an owner set holds 2**16 addresses, 8 KiB
 MAX_TARGET = 1 << 20  # counts are a list indexed by target
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
@@ -197,8 +198,9 @@ def _fall_through(table: RuleTable):
     owners, last rule first: just before rule i is painted, the map shows
     every address's first match below i.  Each paint leaves at most 3
     segments in place of those it covers, so the pass is O(n log n) plus
-    list-slice moves.  General tables use inclusion-exclusion, bottom-up:
-    rule i takes its addresses from the owners its runs name.
+    list-slice moves.  General tables run bottom-up, rule i taking its
+    addresses from the owners its runs name: by inclusion-exclusion up to
+    _IE_RULE_LIMIT rules, else by owner address sets.
     """
     rules = table.rules
     n = len(rules)
@@ -222,8 +224,10 @@ def _fall_through(table: RuleTable):
             starts[j:m] = seg_starts
             owners[j:m] = seg_owners
         final = zip(owners, map(sub, [*starts[1:], end], starts))
-    elif n > _IE_RULE_LIMIT and table.width > _ENUM_WIDTH_LIMIT:
+    elif n > _IE_RULE_LIMIT and table.width > _BITSET_WIDTH_LIMIT:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
+    elif n > _IE_RULE_LIMIT:
+        below, final = _owner_sets([r.pattern for r in rules], table.width)
     else:
         pats = [r.pattern for r in rules]
         owned = [0] * n + [end]
@@ -245,18 +249,39 @@ def _fall_through(table: RuleTable):
     return below, counts
 
 
+def _owner_sets(pats: list[TernaryPattern], width: int):
+    """_fall_through's runs and final (owner, size) pairs, by address sets as
+    ints over chunks of 2**_CHUNK_BITS addresses (the high bits fixed, which a
+    pattern's care bits must match): bit a of a set is low address a, and
+    owner[u] holds the addresses whose first match so far is rule u."""
+    n, low = len(pats), min(width, _CHUNK_BITS)
+    sets = []  # a pattern's low addresses: its value plus each sum of wildcard bits
+    for p in pats:
+        s = 1
+        for b in range(low):  # a care bit shifts by 0, which leaves s as it is
+            s |= s << ((~p.care >> b & 1) << b)
+        sets.append(s << (p.value & ((1 << low) - 1)))
+    runs, owned = [{} for _ in range(n)], [0] * (n + 1)
+    for high in range(0, 1 << width, 1 << low):
+        owner = [0] * n + [(1 << (1 << low)) - 1]
+        for i, p in zip(range(n - 1, -1, -1), reversed(pats)):
+            owner[i] = rest = 0 if (high ^ p.value) & (p.care >> low << low) else sets[i]
+            u = i
+            while rest:  # owners i+1..n partition the chunk, so u stops by n
+                u += 1
+                cut = owner[u] & rest
+                if cut:
+                    owner[u] ^= cut
+                    runs[i][u] = runs[i].get(u, 0) + cut.bit_count()
+                    rest ^= cut
+        for u, s in enumerate(owner):
+            owned[u] += s.bit_count()
+    return [sorted(r.items()) for r in runs], enumerate(owned)
+
+
 def evaluate_table(table: RuleTable) -> list[int]:
     """Exact address counts per target, index 0..k (0 = unmatched)."""
-    if (
-        len(table.rules) <= _IE_RULE_LIMIT
-        or table.width > _ENUM_WIDTH_LIMIT
-        or table.is_prefix_table()
-    ):
-        return _fall_through(table)[1]
-    counts = [0] * (table.k + 1)
-    for addr in range(1 << table.width):
-        counts[table.lookup(addr)] += 1
-    return counts
+    return _fall_through(table)[1]
 
 
 def table_to_sequence(table: RuleTable) -> TransactionSequence:

@@ -156,6 +156,15 @@ def test_verify_rejects_table_too_large_to_evaluate(capsys, tmp_path):
     assert err == "error: 21 general rules at width 25\n"
 
 
+def test_verify_single_bit_rules_past_ie_limit(capsys, tmp_path):
+    # 25 general rules at width 24: read by owner sets, not refused
+    f = tmp_path / "rules.txt"
+    rules = "".join("*" * (23 - b) + "1" + "*" * b + " 1\n" for b in range(24))
+    f.write_text(rules + "*" * 24 + " 2\n")
+    code, out, _ = run_cli(capsys, "verify", "--rules", str(f))
+    assert code == 0 and out.splitlines() == ["1 16777215", "2 1"]
+
+
 def test_compile_verify_pipeline(capsys, tmp_path):
     rng = random.Random(77)
     for _ in range(100):

@@ -399,6 +399,40 @@ def test_too_large_to_evaluate():
             read(table)
 
 
+def test_single_bit_rules_past_ie_limit():
+    # each of bits 0-23 set, over a match-all: inclusion-exclusion's time
+    # doubles with each such rule, so above 20 rules owner sets take over
+    text = "".join("*" * (23 - b) + "1" + "*" * b + " 1\n" for b in range(24))
+    table = table_from_text(text + "*" * 24 + " 2\n")
+    assert len(table) == 25 and not table.is_prefix_table()
+    assert evaluate_table(table) == [0, 2**24 - 1, 1]
+    p = new_partition([2**24 - 1, 1], 24)
+    assert validate_sequence(p, table_to_sequence(table)).zeroes
+
+
+def test_bit_permuted_prefix_tables():
+    # permuting bit positions maps addresses one to one, so a permuted prefix
+    # table reads exactly as the prefix table: inclusion-exclusion and owner
+    # sets (wider than one chunk too) checked against the interval paint
+    rng = random.Random(16)
+    general = {"ie": 0, "owner sets": 0}
+    for _ in range(120):
+        width = rng.randint(6, 22)
+        p = sample_partition(rng.randint(2, 12), width, rng)
+        prefix = synthesize_lpm(p)
+        perm = list(range(width))
+        rng.shuffle(perm)
+        text = "\n".join(
+            "".join(str(r.pattern)[j] for j in perm) + f" {r.target}" for r in prefix.rules
+        )
+        table = table_from_text(text)
+        if not table.is_prefix_table():
+            general["ie" if len(table) <= 20 else "owner sets"] += 1
+        assert evaluate_table(table) == evaluate_table(prefix) == [0, *p.weights]
+        assert table_to_sequence(table) == table_to_sequence(prefix)
+    assert min(general.values()) >= 20, general
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32))
 def test_sequence_zeroes_at_full_size(seed):

@@ -17,9 +17,7 @@ from .matcher import (
     signed_matcher,
 )
 from .signed import (
-    BoundsReport,
     SignedDigits,
-    bounds_report,
     general_lower_bound,
     lpm_bounds,
     naf_count,

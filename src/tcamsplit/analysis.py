@@ -184,6 +184,8 @@ def run_experiment(k: int, width: int, trials: int, seed: int) -> ExperimentStat
     signed-digit bound ratios.  Deterministic given (k, width, trials, seed)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if width == 0:  # negative widths are refused by sample_partition
+        raise WidthTooSmall("need width >= 1 for rules per bit, got 0")
     lam_sum = 0  # exact integer sum
     per_kw: list[float] = []
     lb_ratios: list[float] = []

@@ -6,6 +6,7 @@ Randomized subcommands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -31,7 +32,7 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
     seq = matcher.bit_matcher(p) if args.emit_sequence else None
     table = tcam.synthesize_lpm(p) if seq is None else tcam._table_from_sequence(seq)
@@ -42,53 +43,46 @@ def cmd_compile(args) -> int:
         obj.update({"lambda": lam, "lpm_lower": lo, "lpm_upper": hi})
         if seq is not None:
             obj["sequence"] = core.sequence_to_json_obj(seq)
-        _emit(json.dumps(obj, indent=2), args.out)
-    else:
-        lines = [tcam.table_to_text(table)]
-        lines.append(f"# lambda={lam} lpm_lower={lo} lpm_upper={hi}")
-        if seq is not None:
-            lines += [f"# tx {t.src} {t.size} {t.dst}" for t in seq]
-        _emit("\n".join(lines), args.out)
-    return 0
+        return json.dumps(obj, indent=2)
+    lines = [tcam.table_to_text(table)]
+    lines.append(f"# lambda={lam} lpm_lower={lo} lpm_upper={hi}")
+    if seq is not None:
+        lines += [f"# tx {t.src} {t.size} {t.dst}" for t in seq]
+    return "\n".join(lines)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
-    rep = signed.bounds_report(p)
-    lam = matcher.min_rules(p)
+    lo, hi = signed.lpm_bounds(p)
     fields = {
-        "trivial_lower": rep.trivial_lower,
-        "lpm_lower": rep.lpm_lower,
-        "lpm_upper": rep.lpm_upper,
-        "general_lower": rep.general_lower,
-        "worstcase_cap": rep.worstcase_cap,
-        "lambda": lam,
-        "phi_total": rep.phi_total,
-        "phi_max": rep.phi_max,
+        "trivial_lower": p.k,
+        "lpm_lower": lo,
+        "lpm_upper": hi,
+        "general_lower": signed.general_lower_bound(p),
+        "worstcase_cap": signed.worstcase_cap(p.k, p.width) if p.k >= 2 else None,
+        "lambda": matcher.min_rules(p),
+        "phi_total": signed.naf_total(p),
+        "phi_max": signed.naf_max(p),
     }
     if args.format == "json":
-        _emit(json.dumps(fields), args.out)
-    else:
-        _emit("\n".join(f"{k}={v}" for k, v in fields.items()), args.out)
-    return 0
+        return json.dumps(fields)
+    return "\n".join(f"{k}={v}" for k, v in fields.items())
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> str:
     table = tcam.table_from_text(_read_input(args.rules), args.width)
     counts = tcam.evaluate_table(table)
     if args.format == "json":
-        _emit(json.dumps({"unmatched": counts[0], "counts": counts[1:]}), args.out)
-    elif args.format == "csv":
-        _emit(",".join(str(c) for c in counts[1:]), args.out)
-    else:
-        lines = [f"{t} {c}" for t, c in enumerate(counts) if t > 0]
-        if counts[0]:
-            lines.append(f"unmatched {counts[0]}")
-        _emit("\n".join(lines), args.out)
-    return 0
+        return json.dumps({"unmatched": counts[0], "counts": counts[1:]})
+    if args.format == "csv":
+        return ",".join(str(c) for c in counts[1:])
+    lines = [f"{t} {c}" for t, c in enumerate(counts) if t > 0]
+    if counts[0]:
+        lines.append(f"unmatched {counts[0]}")
+    return "\n".join(lines)
 
 
-def cmd_sequence(args) -> int:
+def cmd_sequence(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
     if args.matcher == "bm":
         seq = matcher.bit_matcher(p)
@@ -101,22 +95,18 @@ def cmd_sequence(args) -> int:
             raise TcamSplitError("--seed is required for the random matcher")
         seq = matcher.random_matcher(p, random.Random(args.seed))
     if args.format == "json":
-        _emit(json.dumps(core.sequence_to_json_obj(seq)), args.out)
-    else:
-        _emit(core.sequence_to_text(seq), args.out)
-    return 0
+        return json.dumps(core.sequence_to_json_obj(seq))
+    return core.sequence_to_text(seq)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> str:
     stats = analysis.run_experiment(args.k, args.width, args.trials, args.seed)
     if args.format == "json":
-        _emit(json.dumps(stats.__dict__), args.out)
-    else:
-        _emit(stats.csv_header() + "\n" + stats.csv_row(), args.out)
-    return 0
+        return json.dumps(stats.__dict__)
+    return stats.csv_header() + "\n" + stats.csv_row()
 
 
-def cmd_worstcase(args) -> int:
+def cmd_worstcase(args) -> str:
     if args.kind == "k2":
         p = worstcase.gen_k2(args.width)
     elif args.kind == "k3":
@@ -129,26 +119,19 @@ def cmd_worstcase(args) -> int:
         p = worstcase.gen_general_hard(args.k, args.width)
     lam = matcher.min_rules(p)
     if args.format == "json":
-        _emit(
-            json.dumps({"width": p.width, "weights": list(p.weights), "lambda": lam}),
-            args.out,
-        )
-    else:
-        _emit(",".join(str(w) for w in p.weights) + f" lambda={lam}", args.out)
-    return 0
+        return json.dumps({"width": p.width, "weights": list(p.weights), "lambda": lam})
+    return ",".join(str(w) for w in p.weights) + f" lambda={lam}"
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> str:
     counts = analysis.read_counts(_read_input(args.counts))
     p = analysis.normalize_counts(counts, args.multiple)
     if args.format == "json":
-        _emit(core.partition_to_json(p), args.out)
-    else:
-        _emit(f"width={p.width}\n" + ",".join(str(w) for w in p.weights), args.out)
-    return 0
+        return core.partition_to_json(p)
+    return f"width={p.width}\n" + ",".join(str(w) for w in p.weights)
 
 
-def cmd_rw(args) -> int:
+def cmd_rw(args) -> str:
     # Fraction("1e-999999999") alone would build a billion-digit integer
     if re.search(r"[eE][-+]?\d{5}", args.p):
         raise BadProbability(f"exponent in --p {args.p!r} has more than 4 digits")
@@ -156,31 +139,19 @@ def cmd_rw(args) -> int:
         p = Fraction(args.p)
     except ZeroDivisionError:
         raise BadProbability(f"zero denominator in --p {args.p!r}") from None
-    val = analysis.rw(p, args.n)
-    _emit(str(val), args.out)
-    return 0
+    return str(analysis.rw(p, args.n))
 
 
-def cmd_game(args) -> int:
+def cmd_game(args) -> str:
     trace = analysis.play_game(args.strategy, args.m, random.Random(args.seed))
     mean_gain = sum(trace.gains) / len(trace.gains) if trace.gains else 0.0
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "strategy": trace.strategy,
-                    "m": trace.m,
-                    "turns": trace.turns,
-                    "mean_gain": mean_gain,
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(f"turns={trace.turns} mean_gain={mean_gain:.4f}", args.out)
-    return 0
+        return json.dumps({"strategy": trace.strategy, "m": trace.m,
+                           "turns": trace.turns, "mean_gain": mean_gain})
+    return f"turns={trace.turns} mean_gain={mean_gain:.4f}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcamsplit",
@@ -259,16 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except TcamSplitError as exc:
+        _emit(args.func(args), args.out)
+    except (TcamSplitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def run() -> None:

@@ -86,26 +86,3 @@ def worstcase_cap(k: int, width: int) -> int:
         return width // 2 + 2
     return k * (width - (k.bit_length() - 1) + 4) // 3
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    lpm_lower: int
-    lpm_upper: int
-    general_lower: int
-    trivial_lower: int
-    worstcase_cap: int | None
-    phi_total: int
-    phi_max: int
-
-
-def bounds_report(p: Partition) -> BoundsReport:
-    lo, hi = lpm_bounds(p)
-    return BoundsReport(
-        lpm_lower=lo,
-        lpm_upper=hi,
-        general_lower=general_lower_bound(p),
-        trivial_lower=p.k,
-        worstcase_cap=worstcase_cap(p.k, p.width) if p.k >= 2 else None,
-        phi_total=naf_total(p),
-        phi_max=naf_max(p),
-    )

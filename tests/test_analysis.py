@@ -188,6 +188,12 @@ def test_run_experiment_deterministic():
     assert c != a
 
 
+def test_run_experiment_refuses_width_0():
+    # rules per bit at width 0 used to divide by k * width == 0
+    with pytest.raises(WidthTooSmall):
+        run_experiment(1, 0, 1, 7)
+
+
 def test_run_experiment_k2_w60():
     stats = run_experiment(2, 60, 10_000, 31)
     assert 1 / 6 - 0.01 <= stats.mean_lambda_over_kw <= 1 / 6 + 0.02

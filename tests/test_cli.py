@@ -120,6 +120,32 @@ def test_bounds(capsys):
     assert fields["lpm_lower"] == fields["lpm_upper"] == fields["lambda"] == "1"
 
 
+def test_bounds_output_bytes(capsys):
+    text = (
+        "trivial_lower=3\nlpm_lower=3\nlpm_upper=3\ngeneral_lower=3\n"
+        "worstcase_cap=6\nlambda=3\nphi_total=4\nphi_max=2\n"
+    )
+    assert run_cli(capsys, "bounds", "--weights", "5,1,2", "--width", "3") == (0, text, "")
+    obj = (
+        '{"trivial_lower": 3, "lpm_lower": 3, "lpm_upper": 3, "general_lower": 3, '
+        '"worstcase_cap": 6, "lambda": 3, "phi_total": 4, "phi_max": 2}\n'
+    )
+    argv = ("bounds", "--weights", "5,1,2", "--width", "3", "--format", "json")
+    assert run_cli(capsys, *argv) == (0, obj, "")
+    # one part: no worst-case cap, and the general lower bound is 1
+    text = (
+        "trivial_lower=1\nlpm_lower=1\nlpm_upper=1\ngeneral_lower=1\n"
+        "worstcase_cap=None\nlambda=1\nphi_total=1\nphi_max=1\n"
+    )
+    assert run_cli(capsys, "bounds", "--weights", "8", "--width", "3") == (0, text, "")
+    obj = (
+        '{"trivial_lower": 1, "lpm_lower": 1, "lpm_upper": 1, "general_lower": 1, '
+        '"worstcase_cap": null, "lambda": 1, "phi_total": 1, "phi_max": 1}\n'
+    )
+    argv = ("bounds", "--weights", "8", "--width", "3", "--format", "json")
+    assert run_cli(capsys, *argv) == (0, obj, "")
+
+
 def test_verify(capsys, tmp_path):
     f = tmp_path / "rules.txt"
     f.write_text(REMARK3_W10)
@@ -249,6 +275,38 @@ def test_sample_command(capsys):
     # a width outside 0..128 used to fail untyped ("negative shift count") or run
     code, out, err = run_cli(capsys, "sample", "--k", "3", "--width", "-1", "--trials", "1", "--seed", "7")
     assert code == 1 and out == "" and err == "error: width -1 outside 0..128\n"
+    # k * width == 0 used to end in a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, "sample", "--k", "1", "--width", "0", "--trials", "1", "--seed", "7")
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--weights", "5,1,2", "--emit-sequence"],
+        ["bounds", "--weights", "683,341", "--format", "json"],
+        ["verify", "--rules", "RULES", "--format", "csv"],
+        ["sequence", "--weights", "5,1,2", "--matcher", "rm", "--seed", "3"],
+        ["sample", "--k", "3", "--width", "16", "--trials", "5", "--seed", "7"],
+        ["worstcase", "--kind", "k3", "--width", "4", "--format", "json"],
+        ["normalize", "--counts", "COUNTS"],
+        ["rw", "--p", "1/6", "--n", "5"],
+        ["game", "--strategy", "mix", "--m", "64", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_writes_stdout_bytes(capsys, tmp_path, argv):
+    (tmp_path / "rules.txt").write_text(THM8)
+    (tmp_path / "counts.txt").write_text("1\n2\n3\n")
+    paths = {"RULES": str(tmp_path / "rules.txt"), "COUNTS": str(tmp_path / "counts.txt")}
+    argv = [paths.get(a, a) for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0 and stdout and err == ""
+    out = tmp_path / "out.txt"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == stdout.encode()
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no-dir" / "out.txt"))
+    assert code == 1 and stdout == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_normalize_command(capsys, tmp_path):
@@ -379,3 +437,71 @@ def test_fuzz_verify(rules, width, fmt):
     if width is not None:
         argv.append(f"--width={width}")
     _exit_code(argv, rules)
+
+
+_junk_weights = st.lists(
+    st.integers(-2, 20).map(str) | st.text(_NUMBER_CHARS, max_size=4), max_size=6
+).map(",".join)
+# junk alone is almost never a partition, so draw valid ones too (sum <= 16)
+_partition_weights = st.builds(
+    lambda w, k, seed: sample_partition(min(k, 1 << w), w, random.Random(seed)).weights,
+    st.integers(0, 4), st.integers(1, 6), st.integers(0, 99),
+).map(lambda ws: ",".join(map(str, ws)))
+_weight_texts = _junk_weights | _partition_weights
+_widths = st.none() | st.integers(-2, 12)
+_formats = st.sampled_from(["table", "json", "csv"])
+
+
+def _opt(flag, value):
+    return [] if value is None else [f"{flag}={value}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_texts, _widths, _formats, st.booleans())
+def test_fuzz_compile(weights, width, fmt, emit_sequence):
+    argv = ["compile", f"--weights={weights}", f"--format={fmt}", *_opt("--width", width)]
+    _exit_code(argv + ["--emit-sequence"] * emit_sequence)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_texts, _widths, _formats)
+def test_fuzz_bounds(weights, width, fmt):
+    _exit_code(["bounds", f"--weights={weights}", f"--format={fmt}", *_opt("--width", width)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _weight_texts,
+    _widths,
+    _formats,
+    st.sampled_from(["bm", "rm", "sm", "anchor"]),
+    st.none() | st.integers(-2, 20),
+)
+def test_fuzz_sequence(weights, width, fmt, matcher, seed):
+    argv = ["sequence", f"--weights={weights}", f"--format={fmt}", f"--matcher={matcher}"]
+    _exit_code(argv + _opt("--width", width) + _opt("--seed", seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["k2", "k3", "triplets", "general"]),
+    st.integers(-2, 40),
+    st.none() | st.integers(-2, 30),
+    _formats,
+)
+def test_fuzz_worstcase(kind, width, k, fmt):
+    argv = ["worstcase", f"--kind={kind}", f"--width={width}", f"--format={fmt}"]
+    _exit_code(argv + _opt("--k", k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 6), st.integers(-2, 12), st.integers(-1, 5), st.integers(0, 20), _formats)
+def test_fuzz_sample(k, width, trials, seed, fmt):
+    argv = ["sample", f"--k={k}", f"--width={width}", f"--trials={trials}", f"--seed={seed}"]
+    _exit_code(argv + [f"--format={fmt}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["opt", "rnd", "mix"]), st.integers(-2, 256), st.integers(0, 20), _formats)
+def test_fuzz_game(strategy, m, seed, fmt):
+    _exit_code(["game", f"--strategy={strategy}", f"--m={m}", f"--seed={seed}", f"--format={fmt}"])

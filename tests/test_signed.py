@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcamsplit import signed
 from tcamsplit.core import new_partition
 from tcamsplit.errors import KTooSmall
 from tcamsplit.signed import (
@@ -123,11 +122,3 @@ def test_sparsity_small():
         )
         assert naf_count(n) <= best
 
-
-def test_bounds_report_fields():
-    rep = signed.bounds_report(new_partition([5, 1, 2], 3))
-    assert rep.trivial_lower == 3
-    assert rep.phi_total == naf_total(new_partition([5, 1, 2], 3))
-    assert rep.lpm_lower <= rep.lpm_upper
-    single = signed.bounds_report(new_partition([8], 3))
-    assert single.worstcase_cap is None and single.general_lower == 1

@@ -101,6 +101,8 @@ def play_game(strategy: str, m: int, rng: random.Random) -> GameTrace:
         raise ValueError(f"unknown strategy {strategy!r}")
     if m < 1:
         raise ValueError("need m >= 1")
+    if m > 1 << 17:  # every turn does arithmetic on an m-bit value
+        raise InstanceTooLarge(f"game needs m <= 2**17, got m={m}")
     v = rng.getrandbits(m)
     nbits = m
 

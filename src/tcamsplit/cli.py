@@ -25,7 +25,7 @@ def _read_input(path: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:

@@ -174,12 +174,8 @@ def sample_partition(k: int, width: int, rng: random.Random) -> Partition:
 
 # --- text / JSON interchange ---------------------------------------------
 
-def parse_weights(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-
-
 def partition_from_text(text: str, width: int | None = None) -> Partition:
-    ws = parse_weights(text)
+    ws = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     if width is None:
         total = sum(ws)
         if total <= 0 or total & (total - 1):

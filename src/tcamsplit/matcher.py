@@ -15,11 +15,6 @@ from .errors import InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _bitlex_key(w: int, width: int) -> str:
-    # reversed fixed-width binary: integer comparison of the bit-reversed value
-    return format(w, f"0{width}b")[::-1]
-
-
 def _check_weights(p: Partition) -> None:
     # a negative weight would put "-" into a bit key or give a plane infinite bits
     if not p.weights or min(p.weights) < 0:
@@ -61,10 +56,18 @@ def bit_matcher(p: Partition) -> TransactionSequence:
     2**width weight to target 0.
     """
 
+    # keys[i]: weights[i] in reversed fixed-width binary, so string order is
+    # the order of the bit-reversed values; only a moved weight changes key
+    fmt = f"0{p.width}b"
+    keys = [format(w, fmt)[::-1] for w in p.weights]
+
     def halves(act, weights, d):
-        act.sort(key=lambda i: (_bitlex_key(weights[i], p.width), i))
+        act.sort(key=keys.__getitem__)  # stable: tied keys keep index order
         half = len(act) // 2
-        return zip(act[:half], act[half:])
+        for i, j in zip(act[:half], act[half:]):
+            yield i, j  # _level_loop moves the weight before resuming here
+            keys[i] = format(weights[i], fmt)[::-1]
+            keys[j] = format(weights[j], fmt)[::-1]
 
     return _level_loop(p, halves)
 

@@ -36,12 +36,8 @@ class TernaryPattern:
         return addr & self.care == self.value
 
     @property
-    def wildcards(self) -> int:
-        return self.width - self.care.bit_count()
-
-    @property
     def count(self) -> int:
-        return 1 << self.wildcards
+        return 1 << (self.width - self.care.bit_count())
 
     def is_prefix(self) -> bool:
         low = ((1 << self.width) - 1) ^ self.care
@@ -58,11 +54,14 @@ class TernaryPattern:
         return self.value, self.value + self.count
 
     def __str__(self) -> str:
-        # bits read as decimal digits, 1 = set and 2 = wildcard: nothing carries
+        wild = ((1 << self.width) - 1) ^ self.care
+        w = wild.bit_length()
+        if w < self.width and not (wild & (wild + 1) or self.value & wild):  # a prefix
+            return format(self.value >> w, f"0{self.width - w}b") + "*" * w
         if not self.width:
             return ""  # format(0, "00b") is "0"
+        # bits read as decimal digits, 1 = set and 2 = wildcard: nothing carries
         fmt = f"0{self.width}b"
-        wild = ((1 << self.width) - 1) ^ self.care
         digits = int(format(self.value, fmt)) + 2 * int(format(wild, fmt))
         return str(digits).zfill(self.width).replace("2", "*")
 
@@ -111,9 +110,12 @@ class RuleTable:
             raise WidthOverflow(f"table width {self.width} outside 0..{MAX_WIDTH}")
         if self.k > MAX_TARGET:
             raise KTooLarge(f"target {self.k} above {MAX_TARGET}")
-        width = self.width
+        width, end = self.width, 1 << self.width
         for i, r in enumerate(self.rules):
-            pat = r.pattern
+            pat, care = r.pattern, r.pattern.care
+            fits = pat.width == width and 0 <= care < end and care | pat.value == care
+            if fits and r.target >= 0:
+                continue  # one test per rule; a rule that fails it is diagnosed below
             # a stray bit would paint an interval past the address space
             if pat.width != width or (pat.care | pat.value) >> width:
                 raise WidthMismatch(f"rule {i}: pattern does not fit table width {width}")
@@ -139,11 +141,11 @@ class RuleTable:
 def synthesize_lpm(p: Partition) -> RuleTable:
     """Minimal prefix table realizing p.
 
-    The optimal transaction sequence is replayed in reverse while dyadic
-    address blocks are handed between targets: the final whole-space move
+    The optimal transaction sequence is replayed in reverse while address
+    runs [lo, hi) are handed between targets: the final whole-space move
     becomes the bottom match-all rule, and each earlier transaction takes
-    the lowest-addressed eligible block from its receiver and pins it to
-    its donor with a rule stacked on top.
+    the lowest addresses of its receiver's first run and pins them to its
+    donor with a rule stacked on top.
     """
     return _table_from_sequence(bit_matcher(p))
 
@@ -153,20 +155,17 @@ def _table_from_sequence(seq: TransactionSequence) -> RuleTable:
     width = seq.width
     last = seq.transactions[-1]
     rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
-    # target -> its blocks [(start, level)], sorted by start
-    blocks: dict[int, list[tuple[int, int]]] = {last.src: [(0, width)]}
+    # target -> its sorted runs; sizes only fall, so run starts stay aligned
+    runs: dict[int, list[tuple[int, int]]] = {last.src: [(0, 1 << width)]}
     for t in reversed(seq.transactions[:-1]):
-        lvl = t.level
-        holding = blocks.get(t.dst, [])
-        for j, (start, blvl) in enumerate(holding):
-            if blvl >= lvl:
-                break
-        else:
+        size, lvl = t.size, t.size.bit_length() - 1
+        holding = runs.get(t.dst) or [(0, 0)]  # an empty run fails the guard
+        start, end = holding[0]
+        if end - start < size or start % size:
             raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {t.dst}")
-        # the split-off buddies lie inside [start, start + 2**blvl), in start order
-        holding[j:j + 1] = [(start + (1 << b), b) for b in range(lvl, blvl)]
+        holding[:1] = [(start + size, end)] if end - start > size else []
         rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
-        insort(blocks.setdefault(t.src, []), (start, lvl))
+        insort(runs.setdefault(t.src, []), (start, start + size))
     rules.reverse()
     return RuleTable(width, tuple(rules), seq.parts)
 

@@ -165,6 +165,17 @@ def test_play_game_terminates_and_counts():
         play_game("bogus", 8, rng)
 
 
+def test_play_game_caps_m():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for m in (2**17 + 1, 10**12):
+        with pytest.raises(InstanceTooLarge):
+            play_game("opt", m, rng)
+    assert rng.getstate() == state  # refused before any draw
+    tr = play_game("rnd", 2**12, rng)
+    assert tr.m == 2**12 and tr.turns == len(tr.gains) > 0
+
+
 def test_game_mean_gains():
     rng = random.Random(99)
     for strategy, expected in (("opt", 3.0), ("rnd", 2.0), ("mix", 2.5)):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tcamsplit.cli import main
 from tcamsplit.core import sample_partition
+from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 REMARK3_W10 = (
     "0000000000 2\n*000***000 1\n**000***** 2\n00******** 2\n********** 1\n"
@@ -262,6 +263,32 @@ def test_game_command(capsys):
     assert code == 0 and obj["turns"] > 0 and 1 <= obj["mean_gain"] <= 6
 
 
+@pytest.mark.parametrize("m", ["131073", "1000000000000"])
+def test_game_refuses_huge_m(capsys, m):
+    # m had no cap: 10**12 ended in an OverflowError traceback
+    code, out, err = run_cli(capsys, "game", "--strategy", "opt", "--m", m, "--seed", "1")
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_compile_emit_sequence_matches_sequence_command(capsys):
+    rng = random.Random(23)
+    parts = [gen_k3(40), gen_triplets(37, 100), gen_general_hard(100, 100)]
+    for k in (1, 2, 3, 5, 16, 37, 100):
+        for width in (max(0, (k - 1).bit_length()), 8, 33, 100, 128):
+            parts.append(sample_partition(k, width, rng))
+    for p in parts:
+        argv = ["--weights", ",".join(map(str, p.weights)), "--width", str(p.width)]
+        code, plain, _ = run_cli(capsys, "compile", *argv)
+        assert code == 0
+        plain = plain.splitlines()
+        emitted = run_cli(capsys, "compile", *argv, "--emit-sequence")[1].splitlines()
+        assert emitted[:len(plain)] == plain
+        txs = emitted[len(plain):]
+        assert all(line.startswith("# tx ") for line in txs)
+        sequence = run_cli(capsys, "sequence", *argv, "--matcher", "bm")[1].splitlines()
+        assert [line.removeprefix("# tx ") for line in txs] == sequence
+
+
 def test_sample_command(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--k", "3", "--width", "16", "--trials", "50", "--seed", "7"
@@ -305,8 +332,9 @@ def test_out_writes_stdout_bytes(capsys, tmp_path, argv):
     out = tmp_path / "out.txt"
     assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
     assert out.read_bytes() == stdout.encode()
-    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no-dir" / "out.txt"))
-    assert code == 1 and stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    for bad in (str(tmp_path / "no-dir" / "out.txt"), ""):  # "" once printed to stdout
+        code, stdout, err = run_cli(capsys, *argv, "--out", bad)
+        assert code == 1 and stdout == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_normalize_command(capsys, tmp_path):

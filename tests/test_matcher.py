@@ -360,3 +360,50 @@ def test_min_rules_rejects_negative_weights(weights, negative, width):
     # a negative int has infinitely many set bits: rejected before slicing, no hang
     with pytest.raises(InternalInvariantViolated):
         min_rules(Partition(tuple(weights) + (negative,), width))
+
+
+# --- bit_matcher keeps one key per index; a per-level key rebuild is its reference
+
+def _reference_bit_matcher(p):
+    """bit_matcher as it sorted before it kept its keys: every active index
+    keyed by (reversed fixed-width binary of its weight, index), rebuilt at
+    every level."""
+
+    def halves(act, weights, d):
+        act.sort(key=lambda i: (format(weights[i], f"0{p.width}b")[::-1], i))
+        half = len(act) // 2
+        return zip(act[:half], act[half:])
+
+    return matcher._level_loop(p, halves)
+
+
+def _bit_matcher_partitions():
+    rng = random.Random(41)
+    for k in (1, 2, 3, 5, 8, 16, 37, 100):
+        for width in (max(0, (k - 1).bit_length()), 7, 12, 32, 64, 100, 128):
+            yield from (sample_partition(k, width, rng) for _ in range(3))
+    for width in (1, 2, 3, 8, 33, 100, 128):
+        yield gen_k2(width)
+        if width >= 2:
+            yield gen_k3(width)
+    for gen in (gen_triplets, gen_general_hard):
+        for k in (2, 3, 4, 5, 6, 7, 16, 37, 100):
+            for width in (9, 12, 40, 100, 128):
+                try:
+                    yield gen(k, width)
+                except TcamSplitError:
+                    pass
+
+
+def test_bit_matcher_matches_reference_sort():
+    parts = list(_bit_matcher_partitions())
+    assert len(parts) > 200
+    for p in parts:
+        got, want = bit_matcher(p), _reference_bit_matcher(p)
+        assert got.transactions == want.transactions and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_partitions() | tied_partitions())
+def test_bit_matcher_matches_reference_sort_random(p):
+    assert bit_matcher(p) == _reference_bit_matcher(p)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcamsplit import tcam
-from tcamsplit.core import new_partition, sample_partition, validate_sequence
+from tcamsplit.core import (
+    Transaction,
+    TransactionSequence,
+    new_partition,
+    sample_partition,
+    validate_sequence,
+)
 from tcamsplit.errors import (
     IncompleteCover,
     IndexOutOfRange,
@@ -79,6 +85,40 @@ def test_pattern_str_edge_cases():
     assert str(TernaryPattern(3, 0, 0)) == "***"
     assert str(TernaryPattern(3, 7, 0)) == "000"
     assert str(TernaryPattern(128, (1 << 128) - 1, 1)) == "0" * 127 + "1"
+
+
+def _decimal_digit_str(pattern):
+    """str(TernaryPattern) before prefixes were rendered directly: the value
+    and wildcard masks read as decimal digits, 1 = set and 2 = wildcard."""
+    if not pattern.width:
+        return ""
+    fmt = f"0{pattern.width}b"
+    wild = ((1 << pattern.width) - 1) ^ pattern.care
+    digits = int(format(pattern.value, fmt)) + 2 * int(format(wild, fmt))
+    return str(digits).zfill(pattern.width).replace("2", "*")
+
+
+def test_pattern_str_matches_decimal_digits_exhaustive():
+    # every (care, value), stray bits outside the care mask or the width included
+    for width in range(7):
+        for care in range(2 << width):
+            for value in range(2 << width):
+                pattern = TernaryPattern(width, care, value)
+                assert str(pattern) == _decimal_digit_str(pattern)
+
+
+def test_pattern_str_matches_decimal_digits_wide():
+    rng = random.Random(18)
+    seen_prefix = seen_general = 0
+    for _ in range(3000):
+        width = rng.randint(0, 128)
+        low = rng.randint(0, width)
+        for care in (((1 << width) - 1) >> low << low, rng.getrandbits(width)):
+            pattern = TernaryPattern(width, care, rng.getrandbits(width) & care)
+            assert str(pattern) == _decimal_digit_str(pattern) == _per_bit_str(pattern)
+            seen_prefix += pattern.is_prefix()
+            seen_general += not pattern.is_prefix()
+    assert seen_prefix > 3000 and seen_general > 2000
 
 
 def test_synthesize_basic():
@@ -163,6 +203,22 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
     width = max(width, (k - 1).bit_length())
     p = sample_partition(k, width, random.Random(seed))
     assert synthesize_lpm(p) == _reference_synthesize(p)
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        [(1, 2, 1)],  # the receiver holds no run
+        [(3, 2, 2), (2, 1, 1)],  # its first run is shorter than the move
+        [(2, 1, 2), (3, 1, 1)],  # its first run starts off the move's alignment
+    ],
+    ids=["no-run", "short", "misaligned"],
+)
+def test_table_from_sequence_guard(moves):
+    # hand-built sequences that bit_matcher never emits
+    txs = tuple(Transaction(*m) for m in moves) + (Transaction(1, 0, 4),)
+    with pytest.raises(InternalInvariantViolated):
+        tcam._table_from_sequence(TransactionSequence(txs, 2, 3))
 
 
 def test_evaluate_paper_tables():
@@ -286,6 +342,69 @@ def test_rule_table_rejects_stray_pattern_bits():
         RuleTable(2, (Rule(TernaryPattern(2, 3, 4), 1), star), 2)
     with pytest.raises(WidthMismatch):
         RuleTable(2, (Rule(TernaryPattern(2, 4, 0), 1), star), 2)
+
+
+def _reference_rule_check(width, rules):
+    """RuleTable's rule scan as three checks per rule, in rule order: the
+    exception type and message of the first failure, or None."""
+    for i, r in enumerate(rules):
+        pat = r.pattern
+        if pat.width != width or (pat.care | pat.value) >> width:
+            return WidthMismatch, f"rule {i}: pattern does not fit table width {width}"
+        if pat.value & ~pat.care:
+            return InternalInvariantViolated, f"rule {i}: value bits outside the care mask"
+        if r.target < 0:
+            return IndexOutOfRange, f"target {r.target} is negative"
+    return None
+
+
+def _rule_check(width, rules):
+    try:
+        RuleTable(width, tuple(rules), 3)
+    except (WidthMismatch, InternalInvariantViolated, IndexOutOfRange) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_rule_table_diagnoses_first_failing_rule():
+    star = Rule(TernaryPattern.parse("**"), 2)
+    stray = Rule(TernaryPattern(2, 0, 1), 1)  # a value bit outside the care mask
+    wide = Rule(TernaryPattern(2, 4, 0), 1)  # a care bit above the width
+    negative = Rule(TernaryPattern.parse("1*"), -1)
+    cases = [
+        ((star, stray, wide), InternalInvariantViolated, "rule 1: value bits outside the care mask"),
+        ((star, star, wide, stray), WidthMismatch, "rule 2: pattern does not fit table width 2"),
+        ((star, negative, stray), IndexOutOfRange, "target -1 is negative"),
+        ((star, Rule(TernaryPattern.parse("***"), 1)), WidthMismatch,
+         "rule 1: pattern does not fit table width 2"),
+        ((Rule(TernaryPattern(2, -1, 0), 1),), WidthMismatch, "rule 0: pattern does not fit table width 2"),
+        ((Rule(TernaryPattern(2, 3, -1), 1),), WidthMismatch, "rule 0: pattern does not fit table width 2"),
+    ]
+    for rules, exc, message in cases:
+        with pytest.raises(exc) as info:
+            RuleTable(2, rules, 2)
+        assert str(info.value) == message
+        assert _reference_rule_check(2, rules) == (exc, message)
+
+
+def test_rule_table_check_matches_reference():
+    rng = random.Random(19)
+    failures = []
+    for _ in range(3000):
+        width = rng.randint(0, 6)
+        rules = []
+        for _ in range(rng.randint(1, 6)):
+            pat_width = width + (rng.random() < 0.05) * rng.choice((-1, 1))
+            care = rng.randint(-3, (2 << width) + 1) if rng.random() < 0.1 else rng.getrandbits(width)
+            value = care & rng.getrandbits(width + 1)
+            if rng.random() < 0.1:
+                value = rng.randint(-3, (2 << width) + 1)
+            rules.append(Rule(TernaryPattern(pat_width, care, value), rng.choice((1, 1, 1, 0, -1))))
+        want = _reference_rule_check(width, rules)
+        assert _rule_check(width, rules) == want
+        failures += [want[0]] if want else []
+    assert 500 < len(failures) < 2500
+    assert {WidthMismatch, InternalInvariantViolated, IndexOutOfRange} == set(failures)
 
 
 def test_lookup_first_match_priority():

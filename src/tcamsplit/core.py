@@ -20,14 +20,32 @@ from .errors import (
 )
 
 MAX_WIDTH = 128
+MAX_TARGET = 1 << 20  # counts are a list indexed by target
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered positive weights summing to 2**width."""
+    """Ordered positive int weights summing to 2**width, checked on construction:
+    WidthOverflow, ZeroWeight (also for a weight that is not an int, or a bool) or BadSum."""
 
     weights: tuple[int, ...]
     width: int
+
+    def __post_init__(self):
+        ws, width = self.weights, self.width
+        if not isinstance(width, int):
+            raise WidthOverflow(f"width {width!r} is not an int")
+        if not 0 <= width <= MAX_WIDTH:
+            raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
+        if not ws:
+            raise ZeroWeight("empty weight list")
+        for w in ws:
+            if type(w) is not int:
+                raise ZeroWeight(f"weight {w!r} is not an int")
+            if w <= 0:
+                raise ZeroWeight(f"weight {w} is not positive")
+        if sum(ws) != 1 << width:
+            raise BadSum(f"weights sum to {sum(ws)}, expected 2**{width} = {1 << width}")
 
     @property
     def k(self) -> int:
@@ -39,21 +57,8 @@ class Partition:
 
 
 def new_partition(weights, width: int) -> Partition:
-    """Validate and build a Partition.
-
-    Raises ZeroWeight, BadSum or WidthOverflow on invalid input.
-    """
-    ws = tuple(int(w) for w in weights)
-    if width < 0 or width > MAX_WIDTH:
-        raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
-    if not ws:
-        raise ZeroWeight("empty weight list")
-    for w in ws:
-        if w <= 0:
-            raise ZeroWeight(f"weight {w} is not positive")
-    if sum(ws) != 1 << width:
-        raise BadSum(f"weights sum to {sum(ws)}, expected 2**{width} = {1 << width}")
-    return Partition(ws, width)
+    """Build a Partition from int-convertible weights."""
+    return Partition(tuple(int(w) for w in weights), width)
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,8 @@ def sample_partition(k: int, width: int, rng: random.Random) -> Partition:
     total = 1 << width
     if not 1 <= k <= total:
         raise KTooLarge(f"k={k} outside 1..2**{width}")
+    if k > MAX_TARGET:
+        raise KTooLarge(f"k={k} above {MAX_TARGET}")
     if total <= 1 << 62:
         cuts = sorted(rng.sample(range(1, total), k - 1))
     else:
@@ -179,7 +186,7 @@ def partition_from_text(text: str, width: int | None = None) -> Partition:
     if width is None:
         total = sum(ws)
         if total <= 0 or total & (total - 1):
-            raise BadSum(f"sum {total} is not a power of two; give an explicit width")
+            raise BadSum(f"sum {total} is not a power of two")
         width = total.bit_length() - 1
     return new_partition(ws, width)
 

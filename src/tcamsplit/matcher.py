@@ -15,19 +15,12 @@ from .errors import InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _check_weights(p: Partition) -> None:
-    # a negative weight would put "-" into a bit key or give a plane infinite bits
-    if not p.weights or min(p.weights) < 0:
-        raise InternalInvariantViolated("need a non-empty list of non-negative weights")
-
-
 def _level_loop(p: Partition, pair) -> TransactionSequence:
     """Zero the weights level by level, then send the 2**width survivor to 0.
 
     At level d, pair(act, weights, d) pairs up the indices with bit d set;
     each pair (i, j) moves 2**d from i to j.
     """
-    _check_weights(p)
     width = p.width
     weights = list(p.weights)
     txs: list[Transaction] = []
@@ -55,19 +48,14 @@ def bit_matcher(p: Partition) -> TransactionSequence:
     counterpart in the larger half.  A final move sends the surviving
     2**width weight to target 0.
     """
-
-    # keys[i]: weights[i] in reversed fixed-width binary, so string order is
-    # the order of the bit-reversed values; only a moved weight changes key
     fmt = f"0{p.width}b"
-    keys = [format(w, fmt)[::-1] for w in p.weights]
 
     def halves(act, weights, d):
-        act.sort(key=keys.__getitem__)  # stable: tied keys keep index order
+        # reversed fixed-width binary: string order is bit-reversed value order;
+        # the sort is stable, so tied keys keep index order
+        act.sort(key=lambda i: format(weights[i], fmt)[::-1])
         half = len(act) // 2
-        for i, j in zip(act[:half], act[half:]):
-            yield i, j  # _level_loop moves the weight before resuming here
-            keys[i] = format(weights[i], fmt)[::-1]
-            keys[j] = format(weights[j], fmt)[::-1]
+        return zip(act[:half], act[half:])
 
     return _level_loop(p, halves)
 
@@ -87,11 +75,9 @@ def min_rules(p: Partition) -> int:
     bit_matcher's order: bits d+1, d+2, ... with zeros first, then the
     lowest index.  Receivers gain 2**d by a carry-add into the planes above.
     """
-    _check_weights(p)
     width = p.width
-    # no weight outgrows the sum, so the carries stay inside these planes
-    planes = _bit_planes(p.weights, max(width + 1, sum(p.weights).bit_length()))
-    top = len(planes)
+    # every weight stays in 0..2**width, so the carries stay inside these planes
+    planes = _bit_planes(p.weights, width + 1)
     lam = 1
     for d in range(width):
         act = planes[d]
@@ -104,7 +90,7 @@ def min_rules(p: Partition) -> int:
         lam += need
         donors, cand = 0, act  # the other `need` donors are still in cand
         e = d + 1
-        while need != size and e < top:
+        while need != size and e <= width:
             zeros = cand & ~planes[e]
             z = zeros.bit_count()
             if z >= need:
@@ -127,7 +113,7 @@ def min_rules(p: Partition) -> int:
             planes[e] = plane ^ carry
             carry &= plane
             e += 1
-    if planes[width].bit_count() != 1 or any(planes[width + 1:]):
+    if planes[width].bit_count() != 1:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
     return lam
 
@@ -222,7 +208,7 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
     pool, which is unconstrained, and gives it to another slot or the pool;
     the values it makes stay in [lo, hi].  A state is looked up by an exact
     integer key: the power sums u**1 .. u**k over its values, shifted to
-    u = v - base >= 0, each in a bit field wide enough for it.  Power sums
+    u = v - lo >= 0, each in a bit field wide enough for it.  Power sums
     1..k fix a multiset of k values (Newton's identities).  A move changes
     the key by one table entry per value it changes, so only a new state is
     sorted into a tuple.  Stops after max_depth levels, or once goal is
@@ -234,14 +220,12 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
     lo = -hi if allow_negative else 0
     sizes = [1 << lvl for lvl in range(width + 2)]
     k = len(start)
-    # only start values (of a hand-built partition) can lie outside [lo, hi]
-    base, top = min((lo, *start)), max((hi, *start))
-    # field m holds a sum of k values u**m <= (top - base)**m
-    bits = [(k * (top - base) ** m).bit_length() for m in range(1, k)]
+    # field m holds a sum of k values u**m <= (hi - lo)**m
+    bits = [(k * (hi - lo) ** m).bit_length() for m in range(1, k)]
     shifts = list(accumulate(bits, initial=0))
     entry = {}
-    for v in range(base, top + 1):
-        u = power = v - base
+    for v in range(lo, hi + 1):
+        u = power = v - lo
         key = 0
         for shift in shifts:
             key += power << shift

@@ -48,9 +48,8 @@ def naf_decompose(n: int) -> tuple[int, int]:
 
 
 def naf_count(n: int) -> int:
-    """Number of non-zero NAF digits of |n|."""
-    plus, minus = naf_decompose(abs(n))
-    return plus.bit_count() + minus.bit_count()
+    """Number of non-zero NAF digits of |n|: where |n| and 3|n| differ."""
+    return (3 * abs(n) ^ abs(n)).bit_count()
 
 
 def naf_total(p: Partition) -> int:
@@ -63,8 +62,9 @@ def naf_max(p: Partition) -> int:
 
 def lpm_bounds(p: Partition) -> tuple[int, int]:
     """(lower, upper) bounds on the minimum prefix rule count for p."""
-    total = naf_total(p)
-    return (total + 2) // 2, total + 1 - naf_max(p)
+    counts = [naf_count(w) for w in p.weights]
+    total = sum(counts)
+    return (total + 2) // 2, total + 1 - max(counts)
 
 
 def general_lower_bound(p: Partition) -> int:

@@ -5,7 +5,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import sub
 
-from .core import MAX_WIDTH, Partition, Transaction, TransactionSequence
+from .core import MAX_TARGET, MAX_WIDTH, Partition, Transaction, TransactionSequence
 from .errors import (
     IncompleteCover,
     IndexOutOfRange,
@@ -20,7 +20,6 @@ from .matcher import bit_matcher
 _IE_RULE_LIMIT = 20
 _BITSET_WIDTH_LIMIT = 24
 _CHUNK_BITS = 16  # an owner set holds 2**16 addresses, 8 KiB
-MAX_TARGET = 1 << 20  # counts are a list indexed by target
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
@@ -314,15 +313,20 @@ def table_to_text(table: RuleTable) -> str:
 
 def table_from_text(text: str, width: int | None = None) -> RuleTable:
     rules = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        pat_text, target = line.split()
+        try:
+            pat_text, target = line.split()
+            target = int(target)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected '<pattern> <target>', got {line!r}") from None
         pat = TernaryPattern.parse(pat_text)
         if width is None:
             width = pat.width
-        rules.append(Rule(pat, int(target)))
+        rules.append(Rule(pat, target))
     if width is None:
         raise IncompleteCover("no rules given")
     k = max((r.target for r in rules), default=0)

@@ -1,8 +1,8 @@
 """Generators for extremal partitions (tight / near-tight bound instances)."""
 from __future__ import annotations
 
-from .core import Partition, new_partition
-from .errors import KTooSmall, WidthTooSmall
+from .core import MAX_TARGET, Partition, new_partition
+from .errors import KTooLarge, KTooSmall, WidthTooSmall
 
 
 def _third_split(total: int) -> list[int]:
@@ -43,6 +43,8 @@ def gen_triplets(k: int, width: int) -> Partition:
     sub_width = width - 1 - _ceil_lg(m)
     if sub_width < 2:
         raise WidthTooSmall(f"width {width} too small for {m} triplets")
+    if k > MAX_TARGET:
+        raise KTooLarge(f"k={k} above {MAX_TARGET}")
     triplet_total = 1 << sub_width
     weights: list[int] = []
     for _ in range(m):
@@ -70,6 +72,8 @@ def gen_general_hard(k: int, width: int) -> Partition:
     h = width - _ceil_lg(k)
     if h < 2:
         raise WidthTooSmall(f"need width >= ceil(lg k) + 2, got {width}")
+    if k > MAX_TARGET:
+        raise KTooLarge(f"k={k} above {MAX_TARGET}")
     # base values in {2**h, 2**(h+1)} summing to 2**width, large entries last
     big = (1 << _ceil_lg(k)) - k
     base = [1 << h] * (k - big) + [1 << (h + 1)] * big

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcamsplit.cli import main
-from tcamsplit.core import sample_partition
+from tcamsplit.core import MAX_TARGET, sample_partition
 from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 REMARK3_W10 = (
@@ -87,6 +88,12 @@ def test_compile_text_bytes(capsys):
 def test_compile_bad_input_exit_1(capsys):
     code, _, err = run_cli(capsys, "compile", "--weights", "5,1,1", "--width", "3")
     assert code == 1 and "error" in err
+
+
+def test_compile_inferred_width_needs_power_of_two_sum(capsys):
+    # the sum must equal 2**width, so no explicit width can help: no such hint
+    code, out, err = run_cli(capsys, "compile", "--weights", "3,2")
+    assert (code, out, err) == (1, "", "error: sum 5 is not a power of two\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -371,6 +378,31 @@ def test_normalize_wide_width(capsys, tmp_path):
     f.write_text("1\n2\n")
     code, out, _ = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", "60")
     assert code == 0 and out == "width=60\n384307168202282325,768614336404564651\n"
+
+
+@pytest.mark.parametrize("line", ["01", "01 1 2", "01 x", "01 1.5"])
+def test_verify_names_malformed_line(capsys, tmp_path, line):
+    # a missing target used to print "not enough values to unpack (expected 2, got 1)"
+    f = tmp_path / "rules.txt"
+    f.write_text(f"# header\n\n{line}  # comment\n** 1\n")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: line 3: expected '<pattern> <target>', got {line!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("worstcase", "--kind", "general", "--width", "128"),
+    ("worstcase", "--kind", "triplets", "--width", "128"),
+    ("sample", "--width", "128", "--trials", "1", "--seed", "1"),
+])
+def test_k_above_max_target_refused_at_once(capsys, argv):
+    # k-element lists and a k-element rejection set were built uncapped:
+    # worstcase --kind general --k 100000000 --width 128 exhausted memory
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--k", str(MAX_TARGET + 1))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: k={MAX_TARGET + 1} above {MAX_TARGET}\n"
 
 
 def test_verify_rejects_huge_target(capsys, tmp_path):

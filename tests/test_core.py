@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tcamsplit import core
 from tcamsplit.core import (
+    MAX_TARGET,
+    MAX_WIDTH,
     Partition,
     Transaction,
     TransactionSequence,
@@ -32,14 +34,56 @@ def test_new_partition_basic():
 
 
 def test_new_partition_rejects():
-    with pytest.raises(BadSum):
-        new_partition([5, 1, 1], 3)
-    with pytest.raises(ZeroWeight):
-        new_partition([8, 0], 3)
-    with pytest.raises(ZeroWeight):
-        new_partition([], 3)
-    with pytest.raises(WidthOverflow):
-        new_partition([1], 129)
+    for weights, width, exc, msg in [
+        ([5, 1, 1], 3, BadSum, "weights sum to 7, expected 2**3 = 8"),
+        ([8, 0], 3, ZeroWeight, "weight 0 is not positive"),
+        ([], 3, ZeroWeight, "empty weight list"),
+        ([1], 129, WidthOverflow, "width 129 outside 0..128"),
+        ([1], -1, WidthOverflow, "width -1 outside 0..128"),
+        ([1], 3.0, WidthOverflow, "width 3.0 is not an int"),
+    ]:
+        for build in (new_partition, lambda ws, w: Partition(tuple(ws), w)):
+            with pytest.raises(exc) as info:
+                build(weights, width)
+            assert str(info.value) == msg
+    # new_partition converts to int; Partition takes ints only
+    assert new_partition([4.0, True, 3], 3).weights == (4, 1, 3)
+    with pytest.raises(ZeroWeight, match=r"^weight 4\.0 is not an int$"):
+        Partition((4.0, 1, 3), 3)
+
+
+def _new_partition_reference(weights, width):
+    """new_partition as it was before Partition checked itself."""
+    ws = tuple(int(w) for w in weights)
+    if width < 0 or width > MAX_WIDTH:
+        raise WidthOverflow(f"width {width} outside 0..{MAX_WIDTH}")
+    if not ws:
+        raise ZeroWeight("empty weight list")
+    for w in ws:
+        if w <= 0:
+            raise ZeroWeight(f"weight {w} is not positive")
+    if sum(ws) != 1 << width:
+        raise BadSum(f"weights sum to {sum(ws)}, expected 2**{width} = {1 << width}")
+    return Partition(ws, width)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_new_partition_matches_reference(data):
+    width = data.draw(st.integers(-2, MAX_WIDTH + 2))
+    total = 1 << max(width, 0)
+    weights = data.draw(st.lists(st.integers(-3, total + 1), max_size=6))
+    if data.draw(st.booleans()) and width >= 0:  # often a valid sum
+        weights.append(total - sum(weights))
+    assert _outcome(new_partition, weights, width) == _outcome(
+        _new_partition_reference, weights, width)
 
 
 def test_apply_sequence_example():
@@ -107,6 +151,12 @@ def test_sampler_edges():
         with pytest.raises(WidthOverflow):
             sample_partition(3, width, rng)
     assert sum(sample_partition(3, 128, rng).weights) == 1 << 128
+
+
+def test_sampler_refuses_k_above_max_target():
+    # the rejection loop would fill a k-element set first
+    with pytest.raises(KTooLarge, match=rf"^k={MAX_TARGET + 1} above {MAX_TARGET}$"):
+        sample_partition(MAX_TARGET + 1, 128, random.Random(0))
 
 
 def test_sampler_invariants():

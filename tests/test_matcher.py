@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tcamsplit import matcher
 from tcamsplit.core import MAX_WIDTH, Partition, new_partition, sample_partition, validate_sequence
-from tcamsplit.errors import InstanceTooLarge, InternalInvariantViolated, TcamSplitError
+from tcamsplit.errors import BadSum, InstanceTooLarge, TcamSplitError, ZeroWeight
 from tcamsplit.matcher import (
     anchor_sequence,
     bit_matcher,
@@ -238,9 +238,18 @@ def test_zeroing_distances_match_reference_search():
 
 def test_brute_force_lambda_matches_reference_search():
     parts = [p for width in range(4) for p in _all_partitions(width, 4)]
-    # hand-built partitions, some with start values outside [lo, hi]
-    parts += [Partition((9, -1), 3), Partition((-1, 1, 8), 3), Partition((3, 2), 3),
-              Partition((40,), 3), Partition((-20, 36), 3), Partition((), 3)]
+    # start values outside [lo, hi] cannot reach the search: construction refuses them
+    for weights, exc, msg in [
+        ((9, -1), ZeroWeight, "weight -1 is not positive"),
+        ((-1, 1, 8), ZeroWeight, "weight -1 is not positive"),
+        ((3, 2), BadSum, "weights sum to 5, expected 2**3 = 8"),
+        ((40,), BadSum, "weights sum to 40, expected 2**3 = 8"),
+        ((-20, 36), ZeroWeight, "weight -20 is not positive"),
+        ((), ZeroWeight, "empty weight list"),
+    ]:
+        with pytest.raises(exc) as info:
+            Partition(weights, 3)
+        assert str(info.value) == msg
     for p in parts:
         for allow_negative in (False, True):
             goal = (0,) * p.k
@@ -334,20 +343,23 @@ def test_min_rules_matches_bit_matcher_hard_families(gen, k, width):
 @pytest.mark.parametrize(
     "p",
     [
-        Partition((9, -1), 3),  # negative weight
-        Partition((3, 2), 3),  # odd sum
-        Partition((16,), 3),  # weight above 2**width
-        Partition((-1, 1, 8), 3),  # negative weights whose sum is right
-        Partition((5, 3, 1, -1), 3),
+        ((9, -1), ZeroWeight, "weight -1 is not positive"),  # negative weight
+        ((3, 2), BadSum, "weights sum to 5, expected 2**3 = 8"),  # odd sum
+        ((16,), BadSum, "weights sum to 16, expected 2**3 = 8"),  # weight above 2**width
+        ((-1, 1, 8), ZeroWeight, "weight -1 is not positive"),  # negatives, right sum
+        ((5, 3, 1, -1), ZeroWeight, "weight -1 is not positive"),
+        ((), ZeroWeight, "empty weight list"),
+        ((4.0, 4.0), ZeroWeight, "weight 4.0 is not an int"),  # int-valued floats
+        ((True, 7), ZeroWeight, "weight True is not an int"),  # a bool is not a weight
     ],
 )
 def test_min_rules_rejects_hand_built_partitions(p):
-    with pytest.raises(InternalInvariantViolated):
-        bit_matcher(p)
-    with pytest.raises(InternalInvariantViolated):
-        random_matcher(p, random.Random(1))
-    with pytest.raises(InternalInvariantViolated):
-        min_rules(p)
+    # bit_matcher, random_matcher and min_rules never see an invalid Partition:
+    # construction refuses it, with new_partition's message where it had one
+    weights, exc, msg = p
+    with pytest.raises(exc) as info:
+        Partition(weights, 3)
+    assert str(info.value) == msg
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,17 +369,18 @@ def test_min_rules_rejects_hand_built_partitions(p):
     st.integers(0, MAX_WIDTH),
 )
 def test_min_rules_rejects_negative_weights(weights, negative, width):
-    # a negative int has infinitely many set bits: rejected before slicing, no hang
-    with pytest.raises(InternalInvariantViolated):
-        min_rules(Partition(tuple(weights) + (negative,), width))
+    # a negative int has infinitely many set bits: refused at construction, no hang
+    weights = tuple(weights) + (negative,)
+    with pytest.raises(ZeroWeight) as info:
+        Partition(weights, width)
+    assert str(info.value) == f"weight {next(w for w in weights if w <= 0)} is not positive"
 
 
-# --- bit_matcher keeps one key per index; a per-level key rebuild is its reference
+# --- bit_matcher relies on a stable sort for ties; an explicit index key is its reference
 
 def _reference_bit_matcher(p):
-    """bit_matcher as it sorted before it kept its keys: every active index
-    keyed by (reversed fixed-width binary of its weight, index), rebuilt at
-    every level."""
+    """bit_matcher with the tie made explicit: every active index keyed by
+    (reversed fixed-width binary of its weight, index) at every level."""
 
     def halves(act, weights, d):
         act.sort(key=lambda i: (format(weights[i], f"0{p.width}b")[::-1], i))

@@ -1,7 +1,7 @@
 import pytest
 
-from tcamsplit.core import new_partition
-from tcamsplit.errors import KTooSmall, WidthTooSmall
+from tcamsplit.core import MAX_TARGET, new_partition
+from tcamsplit.errors import KTooLarge, KTooSmall, WidthTooSmall
 from tcamsplit.matcher import min_rules
 from tcamsplit.signed import general_lower_bound, naf_count, worstcase_cap
 from tcamsplit.worstcase import gen_general_hard, gen_k2, gen_k3, gen_triplets
@@ -80,3 +80,10 @@ def test_permutation_invariance():
     p = gen_triplets(7, 9)
     shuffled = new_partition(tuple(reversed(p.weights)), 9)
     assert min_rules(shuffled) == min_rules(p)
+
+
+@pytest.mark.parametrize("gen", [gen_triplets, gen_general_hard])
+def test_generators_refuse_k_above_max_target(gen):
+    # both build k-element lists; k = 10**8 at width 128 exhausted memory
+    with pytest.raises(KTooLarge, match=rf"^k={MAX_TARGET + 1} above {MAX_TARGET}$"):
+        gen(MAX_TARGET + 1, 128)

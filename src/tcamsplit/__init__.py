@@ -3,7 +3,6 @@
 from .core import (
     Partition,
     Transaction,
-    TransactionSequence,
     new_partition,
     sample_partition,
     validate_sequence,

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MAX_WIDTH, Partition, new_partition, sample_partition
+from .core import MAX_WIDTH, Partition, new_partition, parse_lines, sample_partition
 from .errors import (
     AllZero,
     BadCount,
@@ -268,14 +268,12 @@ def normalize_counts(counts, width_multiple: int) -> Partition:
 
 
 def read_counts(text: str) -> list[float]:
-    """One positive number per line; blank lines and '#' comments skipped.
-    A zero is refused here, with its line number, since normalize_counts
-    numbers the targets by count."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(float(line))
-            if out[-1] == 0:
-                raise ZeroWeight(f"line {lineno}: zero count; its target would get no addresses")
-    return out
+    """One positive number per line, read by parse_lines; a zero is refused here,
+    with its line number, since normalize_counts numbers the targets by count."""
+    def count(line):
+        c = float(line)
+        if c == 0:
+            raise ZeroWeight("zero count; its target would get no addresses")
+        return c
+
+    return parse_lines(text, count)

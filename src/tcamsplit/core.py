@@ -2,8 +2,8 @@
 
 A partition splits an address space of 2**width addresses among k targets
 (1-based; target 0 means "unallocated").  A transaction moves weight between
-two targets; sequences of power-of-two transactions are the intermediate
-representation between partitions and rule tables.
+two targets; sequences of power-of-two transactions, held as plain tuples, are
+the intermediate representation between partitions and rule tables.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .errors import (
     BadSum,
     IndexOutOfRange,
     KTooLarge,
+    TcamSplitError,
     WidthOverflow,
     ZeroWeight,
 )
@@ -26,13 +27,15 @@ MAX_TARGET = 1 << 20  # counts are a list indexed by target
 @dataclass(frozen=True)
 class Partition:
     """Ordered positive int weights summing to 2**width, checked on construction:
-    WidthOverflow, ZeroWeight (also for a weight that is not an int, or a bool) or BadSum."""
+    WidthOverflow, ZeroWeight (also for a non-tuple, a non-int weight or a bool) or BadSum."""
 
     weights: tuple[int, ...]
     width: int
 
     def __post_init__(self):
         ws, width = self.weights, self.width
+        if type(ws) is not tuple:  # a list would make the frozen Partition unhashable
+            raise ZeroWeight(f"weights {ws!r} are not a tuple")
         if not isinstance(width, int):
             raise WidthOverflow(f"width {width!r} is not an int")
         if not 0 <= width <= MAX_WIDTH:
@@ -92,19 +95,6 @@ class Transaction:
 
 
 @dataclass(frozen=True)
-class TransactionSequence:
-    transactions: tuple[Transaction, ...]
-    width: int
-    parts: int  # k
-
-    def __len__(self) -> int:
-        return len(self.transactions)
-
-    def __iter__(self):
-        return iter(self.transactions)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     zeroes: bool                 # final extended state is all-zero
     nonnegative: bool            # every intermediate x_1..x_k stays >= 0
@@ -123,14 +113,13 @@ class ValidationReport:
         )
 
 
-def validate_sequence(p: Partition, s: TransactionSequence) -> ValidationReport:
+def validate_sequence(p: Partition, s: tuple[Transaction, ...]) -> ValidationReport:
     """Replay s from x_0 = -2**width, x_1..x_k = the weights; report the flags."""
     values = [-(1 << p.width), *p.weights]
     nonneg = True
     monotone = True
     pow2 = all(t.is_power_of_two for t in s)
     zero_terminal = True
-    last = len(s.transactions) - 1
     prev_size = 0
     for idx, t in enumerate(s):
         if not (0 <= t.src <= p.k) or not (0 <= t.dst <= p.k):
@@ -142,7 +131,7 @@ def validate_sequence(p: Partition, s: TransactionSequence) -> ValidationReport:
         if t.size < prev_size:
             monotone = False
         prev_size = t.size
-        if (t.src == 0 or t.dst == 0) and idx != last:
+        if (t.src == 0 or t.dst == 0) and idx != len(s) - 1:
             zero_terminal = False
     return ValidationReport(
         zeroes=not any(values),
@@ -181,6 +170,19 @@ def sample_partition(k: int, width: int, rng: random.Random) -> Partition:
 
 # --- text / JSON interchange ---------------------------------------------
 
+def parse_lines(text: str, parse) -> list:
+    """parse(line) per line but blanks and '#' comments; errors name the 1-based line."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            try:
+                out.append(parse(line))
+            except (TcamSplitError, ValueError) as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+    return out
+
+
 def partition_from_text(text: str, width: int | None = None) -> Partition:
     ws = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     if width is None:
@@ -195,11 +197,11 @@ def partition_to_json(p: Partition) -> str:
     return json.dumps({"width": p.width, "weights": list(p.weights)})
 
 
-def sequence_to_text(s: TransactionSequence) -> str:
+def sequence_to_text(s: tuple[Transaction, ...]) -> str:
     return "\n".join(f"{t.src} {t.size} {t.dst}" for t in s)
 
 
-def sequence_to_json_obj(s: TransactionSequence) -> list[dict]:
+def sequence_to_json_obj(s: tuple[Transaction, ...]) -> list[dict]:
     return [
         {
             "src": t.src,

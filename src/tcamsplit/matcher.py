@@ -10,12 +10,12 @@ import math
 import random
 from itertools import accumulate
 
-from .core import Partition, Transaction, TransactionSequence
+from .core import Partition, Transaction
 from .errors import InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _level_loop(p: Partition, pair) -> TransactionSequence:
+def _level_loop(p: Partition, pair) -> tuple[Transaction, ...]:
     """Zero the weights level by level, then send the 2**width survivor to 0.
 
     At level d, pair(act, weights, d) pairs up the indices with bit d set;
@@ -37,10 +37,10 @@ def _level_loop(p: Partition, pair) -> TransactionSequence:
     if len(survivors) != 1 or weights[survivors[0]] != 1 << width:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
     txs.append(Transaction(survivors[0] + 1, 0, 1 << width))
-    return TransactionSequence(tuple(txs), width, p.k)
+    return tuple(txs)
 
 
-def bit_matcher(p: Partition) -> TransactionSequence:
+def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
     """Optimal zeroing sequence.
 
     Per level d: the indices with bit d set are split into halves by
@@ -118,7 +118,7 @@ def min_rules(p: Partition) -> int:
     return lam
 
 
-def random_matcher(p: Partition, rng: random.Random) -> TransactionSequence:
+def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
     """Uniform random pairing per level; direction decided by bit d+1."""
 
     def shuffled(act, weights, d):
@@ -133,7 +133,7 @@ def random_matcher(p: Partition, rng: random.Random) -> TransactionSequence:
     return _level_loop(p, shuffled)
 
 
-def signed_matcher(p: Partition) -> TransactionSequence:
+def signed_matcher(p: Partition) -> tuple[Transaction, ...]:
     """Pair +1 digits against -1 digits of the live weights, level by level.
 
     Unpaired digits are settled against target 0, so the unallocated pool
@@ -166,10 +166,10 @@ def signed_matcher(p: Partition) -> TransactionSequence:
             if weights[i] != 1 << width:
                 raise InternalInvariantViolated("weight not a full block at the end")
             txs.append(Transaction(i + 1, 0, 1 << width))
-    return TransactionSequence(tuple(txs), width, p.k)
+    return tuple(txs)
 
 
-def anchor_sequence(p: Partition) -> TransactionSequence:
+def anchor_sequence(p: Partition) -> tuple[Transaction, ...]:
     """Sequence of length phi_total + 1 - phi_max settling every non-anchor
     digit directly against the part with the most non-zero digits.
 
@@ -192,11 +192,10 @@ def anchor_sequence(p: Partition) -> TransactionSequence:
                 entries.append((low.bit_length() - 1, i, sign))
                 mask ^= low
     entries.sort(key=lambda e: (e[0], e[1]))
-    txs = tuple(
+    return tuple(
         Transaction(i, anchor, 1 << lvl) if sign > 0 else Transaction(anchor, i, 1 << lvl)
         for lvl, i, sign in entries
     )
-    return TransactionSequence(txs, p.width, p.k)
 
 
 # --- brute-force oracle ---------------------------------------------------

@@ -5,7 +5,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import sub
 
-from .core import MAX_TARGET, MAX_WIDTH, Partition, Transaction, TransactionSequence
+from .core import MAX_TARGET, MAX_WIDTH, Partition, Transaction, parse_lines
 from .errors import (
     IncompleteCover,
     IndexOutOfRange,
@@ -98,11 +98,10 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleTable:
-    """Priority-ordered rules, first match wins."""
+    """Priority-ordered rules, first match wins; k is the highest target."""
 
     width: int
     rules: tuple[Rule, ...]
-    k: int
 
     def __post_init__(self):
         if not 0 <= self.width <= MAX_WIDTH:
@@ -123,6 +122,10 @@ class RuleTable:
             # counts are indexed by target, so -1 would silently count for target k
             if r.target < 0:
                 raise IndexOutOfRange(f"target {r.target} is negative")
+
+    @property
+    def k(self) -> int:
+        return max([r.target for r in self.rules], default=0)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -149,14 +152,16 @@ def synthesize_lpm(p: Partition) -> RuleTable:
     return _table_from_sequence(bit_matcher(p))
 
 
-def _table_from_sequence(seq: TransactionSequence) -> RuleTable:
-    """synthesize_lpm's table for its sequence seq = bit_matcher(p)."""
-    width = seq.width
-    last = seq.transactions[-1]
+def _table_from_sequence(seq: tuple[Transaction, ...]) -> RuleTable:
+    """synthesize_lpm's table for seq = bit_matcher(p); its last move is the whole space."""
+    last = seq[-1]
+    if not last.is_power_of_two:
+        raise InternalInvariantViolated(f"last move of size {last.size} is not a whole space")
+    width = last.size.bit_length() - 1
     rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
     # target -> its sorted runs; sizes only fall, so run starts stay aligned
     runs: dict[int, list[tuple[int, int]]] = {last.src: [(0, 1 << width)]}
-    for t in reversed(seq.transactions[:-1]):
+    for t in reversed(seq[:-1]):
         size, lvl = t.size, t.size.bit_length() - 1
         holding = runs.get(t.dst) or [(0, 0)]  # an empty run fails the guard
         start, end = holding[0]
@@ -166,7 +171,7 @@ def _table_from_sequence(seq: TransactionSequence) -> RuleTable:
         rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
         insort(runs.setdefault(t.src, []), (start, start + size))
     rules.reverse()
-    return RuleTable(width, tuple(rules), seq.parts)
+    return RuleTable(width, tuple(rules))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -282,7 +287,7 @@ def evaluate_table(table: RuleTable) -> list[int]:
     return _fall_through(table)[1]
 
 
-def table_to_sequence(table: RuleTable) -> TransactionSequence:
+def table_to_sequence(table: RuleTable) -> tuple[Transaction, ...]:
     """Delete rules top-down, emitting one transaction per remap group.
 
     When the top rule goes away, every address it matched falls through to
@@ -302,7 +307,7 @@ def table_to_sequence(table: RuleTable) -> TransactionSequence:
         for tgt, cnt in moved.items():
             if tgt != rule.target:
                 txs.append(Transaction(rule.target, tgt, cnt))
-    return TransactionSequence(tuple(txs), table.width, table.k)
+    return tuple(txs)
 
 
 # --- text / JSON interchange ---------------------------------------------
@@ -312,25 +317,18 @@ def table_to_text(table: RuleTable) -> str:
 
 
 def table_from_text(text: str, width: int | None = None) -> RuleTable:
-    rules = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def rule(line):
         try:
             pat_text, target = line.split()
             target = int(target)
         except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected '<pattern> <target>', got {line!r}") from None
-        pat = TernaryPattern.parse(pat_text)
-        if width is None:
-            width = pat.width
-        rules.append(Rule(pat, target))
-    if width is None:
+            raise ValueError(f"expected '<pattern> <target>', got {line!r}") from None
+        return Rule(TernaryPattern.parse(pat_text), target)
+
+    rules = parse_lines(text, rule)
+    if width is None and not rules:
         raise IncompleteCover("no rules given")
-    k = max((r.target for r in rules), default=0)
-    return RuleTable(width, tuple(rules), k)
+    return RuleTable(rules[0].pattern.width if width is None else width, tuple(rules))
 
 
 def table_to_json_obj(table: RuleTable) -> dict:

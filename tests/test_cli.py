@@ -390,6 +390,21 @@ def test_verify_names_malformed_line(capsys, tmp_path, line):
     assert err == f"error: line 3: expected '<pattern> <target>', got {line!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [(("verify", "--rules"), "0x 1\n** 1\n", "line 1: bad pattern character 'x'"),
+     (("normalize", "--counts"), "# counts\n3\nabc\n",
+      "line 3: could not convert string to float: 'abc'")],
+    ids=["pattern", "count"],
+)
+def test_bad_line_names_its_number(capsys, tmp_path, argv, text, message):
+    # without the line number a long input gives no way to find the bad line
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(f))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("worstcase", "--kind", "general", "--width", "128"),
     ("worstcase", "--kind", "triplets", "--width", "128"),
@@ -411,6 +426,9 @@ def test_verify_rejects_huge_target(capsys, tmp_path):
     f.write_text("1* 1000000000000\n** 1\n")
     code, out, err = run_cli(capsys, "verify", "--rules", str(f))
     assert code == 1 and out == "" and err.startswith("error:")
+    f.write_text(f"** {MAX_TARGET + 1}\n")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert (code, out, err) == (1, "", "error: target 1048577 above 1048576\n")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from tcamsplit.core import (
     MAX_WIDTH,
     Partition,
     Transaction,
-    TransactionSequence,
     new_partition,
     sample_partition,
     validate_sequence,
@@ -20,10 +19,8 @@ from tcamsplit.core import (
 from tcamsplit.errors import BadSum, IndexOutOfRange, KTooLarge, WidthOverflow, ZeroWeight
 
 
-def seq(width, parts, *triples):
-    return TransactionSequence(
-        tuple(Transaction(s, d, m) for s, m, d in triples), width, parts
-    )
+def seq(*triples):
+    return tuple(Transaction(s, d, m) for s, m, d in triples)
 
 
 def test_new_partition_basic():
@@ -50,6 +47,9 @@ def test_new_partition_rejects():
     assert new_partition([4.0, True, 3], 3).weights == (4, 1, 3)
     with pytest.raises(ZeroWeight, match=r"^weight 4\.0 is not an int$"):
         Partition((4.0, 1, 3), 3)
+    # a list would leave the frozen Partition unhashable
+    with pytest.raises(ZeroWeight, match=r"^weights \[8\] are not a tuple$"):
+        Partition([8], 3)
 
 
 def _new_partition_reference(weights, width):
@@ -88,38 +88,38 @@ def test_new_partition_matches_reference(data):
 
 def test_apply_sequence_example():
     p = new_partition([5, 1, 2], 3)
-    s = seq(3, 3, (1, 1, 2), (2, 2, 3), (3, 4, 1), (1, 8, 0))
+    s = seq((1, 1, 2), (2, 2, 3), (3, 4, 1), (1, 8, 0))
     rep = validate_sequence(p, s)
     assert rep.zeroes and rep.final == (0, 0, 0, 0)
 
 
 def test_apply_sequence_trivial():
-    assert validate_sequence(new_partition([8], 3), seq(3, 1, (1, 8, 0))).zeroes
+    assert validate_sequence(new_partition([8], 3), seq((1, 8, 0))).zeroes
     assert validate_sequence(
-        new_partition([4, 4], 3), seq(3, 2, (1, 4, 2), (2, 8, 0))
+        new_partition([4, 4], 3), seq((1, 4, 2), (2, 8, 0))
     ).zeroes
-    rep = validate_sequence(new_partition([4, 4], 3), seq(3, 2, (1, 4, 2)))
+    rep = validate_sequence(new_partition([4, 4], 3), seq((1, 4, 2)))
     assert not rep.zeroes and rep.final == (-8, 0, 8)
 
 
 def test_apply_sequence_index_out_of_range():
     p = new_partition([4, 4], 3)
     with pytest.raises(IndexOutOfRange):
-        validate_sequence(p, seq(3, 2, (1, 4, 3)))
+        validate_sequence(p, seq((1, 4, 3)))
 
 
 def test_validate_sequence_flags():
     p = new_partition([8], 3)
-    rep = validate_sequence(p, seq(3, 1))
+    rep = validate_sequence(p, seq())
     assert not rep.zeroes
-    rep = validate_sequence(p, seq(3, 1, (1, 8, 0)))
+    rep = validate_sequence(p, seq((1, 8, 0)))
     assert rep.zeroes and rep.nonnegative and rep.sizes_monotone
     assert rep.zero_target_terminal_only and rep.power_of_two_sizes
     # shrinking sizes and mid-sequence pool use are flagged
     p2 = new_partition([4, 4], 3)
-    rep = validate_sequence(p2, seq(3, 2, (1, 4, 0), (2, 4, 0)))
+    rep = validate_sequence(p2, seq((1, 4, 0), (2, 4, 0)))
     assert rep.zeroes and not rep.zero_target_terminal_only
-    rep = validate_sequence(p2, seq(3, 2, (1, 4, 2), (2, 8, 0), (1, 1, 2), (2, 1, 1)))
+    rep = validate_sequence(p2, seq((1, 4, 2), (2, 8, 0), (1, 1, 2), (2, 1, 1)))
     assert not rep.sizes_monotone and not rep.nonnegative
 
 
@@ -134,7 +134,7 @@ def test_sum_conservation_random_sequences():
         txs.append(Transaction(s, d, 1 << lvl))
         values[s] -= 1 << lvl
         values[d] += 1 << lvl
-        final = validate_sequence(p, TransactionSequence(tuple(txs), 3, 3)).final
+        final = validate_sequence(p, tuple(txs)).final
         assert sum(final) == 0
         assert list(final) == values
 
@@ -196,7 +196,7 @@ def test_text_and_json_round_trips():
     with pytest.raises(BadSum):
         core.partition_from_text("5,1,1")
     assert json.loads(core.partition_to_json(p)) == {"width": 3, "weights": [5, 1, 2]}
-    s = seq(3, 3, (1, 1, 2), (1, 8, 0))
+    s = seq((1, 1, 2), (1, 8, 0))
     assert core.sequence_to_text(s) == "1 1 2\n1 8 0"
     obj = core.sequence_to_json_obj(s)
     assert obj[0] == {"src": 1, "level": 0, "size": 1, "dst": 2}

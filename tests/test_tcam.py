@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tcamsplit import tcam
 from tcamsplit.core import (
+    MAX_TARGET,
     Transaction,
-    TransactionSequence,
     new_partition,
     sample_partition,
     validate_sequence,
@@ -18,6 +18,7 @@ from tcamsplit.errors import (
     IncompleteCover,
     IndexOutOfRange,
     InternalInvariantViolated,
+    KTooLarge,
     TooLargeToEvaluate,
     WidthMismatch,
     WidthOverflow,
@@ -157,7 +158,7 @@ def test_round_trip_random():
 def _reference_synthesize(p):
     """Rescan every held block for the lowest-addressed eligible one: the
     allocator the start-sorted block lists replaced."""
-    txs = bit_matcher(p).transactions
+    txs = bit_matcher(p)
     width = p.width
     last = txs[-1]
     rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
@@ -173,7 +174,7 @@ def _reference_synthesize(p):
         rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
         blocks.setdefault(t.src, []).append((start, lvl))
     rules.reverse()
-    return RuleTable(width, tuple(rules), p.k)
+    return RuleTable(width, tuple(rules))
 
 
 def _worst_partitions():
@@ -208,17 +209,18 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
 @pytest.mark.parametrize(
     "moves",
     [
-        [(1, 2, 1)],  # the receiver holds no run
-        [(3, 2, 2), (2, 1, 1)],  # its first run is shorter than the move
-        [(2, 1, 2), (3, 1, 1)],  # its first run starts off the move's alignment
+        [(1, 2, 1), (1, 0, 4)],  # the receiver holds no run
+        [(3, 2, 2), (2, 1, 1), (1, 0, 4)],  # its first run is shorter than the move
+        [(2, 1, 2), (3, 1, 1), (1, 0, 4)],  # its first run starts off the move's alignment
+        [(1, 0, 3)],  # the last move, which gives the width, is not a whole space
     ],
-    ids=["no-run", "short", "misaligned"],
+    ids=["no-run", "short", "misaligned", "last-not-whole"],
 )
 def test_table_from_sequence_guard(moves):
     # hand-built sequences that bit_matcher never emits
-    txs = tuple(Transaction(*m) for m in moves) + (Transaction(1, 0, 4),)
+    txs = tuple(Transaction(*m) for m in moves)
     with pytest.raises(InternalInvariantViolated):
-        tcam._table_from_sequence(TransactionSequence(txs, 2, 3))
+        tcam._table_from_sequence(txs)
 
 
 def test_evaluate_paper_tables():
@@ -320,28 +322,42 @@ def test_table_from_text_width_check():
     with pytest.raises(WidthOverflow):
         table_from_text("1" + "*" * 199 + " 1")
     with pytest.raises(WidthOverflow):
-        RuleTable(200, (Rule(TernaryPattern.parse("*" * 200), 1),), 1)
+        RuleTable(200, (Rule(TernaryPattern.parse("*" * 200), 1),))
     assert table_from_text("*" * 128 + " 1").width == 128
 
 
 def test_rule_table_rejects_negative_targets():
     with pytest.raises(IndexOutOfRange):
-        RuleTable(2, (Rule(TernaryPattern.parse("**"), -1),), 0)
+        RuleTable(2, (Rule(TernaryPattern.parse("**"), -1),))
     with pytest.raises(IndexOutOfRange):
         table_from_text("1* -1\n** 1")
     with pytest.raises(IndexOutOfRange):
-        RuleTable(2, (Rule(TernaryPattern.parse("1*"), 1), Rule(TernaryPattern.parse("**"), -1)), 1)
+        RuleTable(2, (Rule(TernaryPattern.parse("1*"), 1), Rule(TernaryPattern.parse("**"), -1)))
+
+
+def test_rule_table_k_is_the_highest_target():
+    star = TernaryPattern.parse("**")
+    assert RuleTable(2, ()).k == 0
+    assert RuleTable(2, (Rule(star, MAX_TARGET),)).k == MAX_TARGET
+    with pytest.raises(KTooLarge) as info:
+        RuleTable(2, (Rule(star, 1), Rule(star, MAX_TARGET + 1)))
+    assert str(info.value) == f"target {MAX_TARGET + 1} above {MAX_TARGET}"
+    # targets 1..4 are unused; counts still run up to target 5
+    table = RuleTable(2, (Rule(star, 5),))
+    assert table.k == 5
+    assert evaluate_table(table) == [0, 0, 0, 0, 0, 4]
+    assert table_to_sequence(table) == (Transaction(5, 0, 4),)
 
 
 def test_rule_table_rejects_stray_pattern_bits():
     # evaluate_table once painted these past the address space: [0, 3, 1]
     star = Rule(TernaryPattern.parse("**"), 2)
     with pytest.raises(InternalInvariantViolated):
-        RuleTable(2, (Rule(TernaryPattern(2, 0, 1), 1), star), 2)
+        RuleTable(2, (Rule(TernaryPattern(2, 0, 1), 1), star))
     with pytest.raises(WidthMismatch):
-        RuleTable(2, (Rule(TernaryPattern(2, 3, 4), 1), star), 2)
+        RuleTable(2, (Rule(TernaryPattern(2, 3, 4), 1), star))
     with pytest.raises(WidthMismatch):
-        RuleTable(2, (Rule(TernaryPattern(2, 4, 0), 1), star), 2)
+        RuleTable(2, (Rule(TernaryPattern(2, 4, 0), 1), star))
 
 
 def _reference_rule_check(width, rules):
@@ -360,7 +376,7 @@ def _reference_rule_check(width, rules):
 
 def _rule_check(width, rules):
     try:
-        RuleTable(width, tuple(rules), 3)
+        RuleTable(width, tuple(rules))
     except (WidthMismatch, InternalInvariantViolated, IndexOutOfRange) as exc:
         return type(exc), str(exc)
     return None
@@ -382,7 +398,7 @@ def test_rule_table_diagnoses_first_failing_rule():
     ]
     for rules, exc, message in cases:
         with pytest.raises(exc) as info:
-            RuleTable(2, rules, 2)
+            RuleTable(2, rules)
         assert str(info.value) == message
         assert _reference_rule_check(2, rules) == (exc, message)
 
@@ -425,9 +441,7 @@ def prefix_tables(draw):
     if draw(st.booleans()):
         pool.append(TernaryPattern.from_block(width, 0, width))
     patterns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
-    return RuleTable(
-        width, tuple(Rule(q, draw(st.integers(0, k))) for q in patterns), k
-    )
+    return RuleTable(width, tuple(Rule(q, draw(st.integers(0, k))) for q in patterns))
 
 
 def _reference_sequence(table):
@@ -493,7 +507,7 @@ def ternary_tables(draw):
     rules = draw(st.lists(st.builds(Rule, pattern, st.integers(0, k)), min_size=1, max_size=30))
     if draw(st.booleans()):
         rules[-1] = Rule(TernaryPattern.parse("*" * width), draw(st.integers(0, k)))
-    return RuleTable(width, tuple(rules), k)
+    return RuleTable(width, tuple(rules))
 
 
 @settings(max_examples=300, deadline=None)

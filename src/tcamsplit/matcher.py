@@ -8,56 +8,63 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 from .core import Partition, Transaction
 from .errors import InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _level_loop(p: Partition, pair) -> tuple[Transaction, ...]:
+def _level_loop(p: Partition, pair) -> list[tuple[int, int, int]]:
     """Zero the weights level by level, then send the 2**width survivor to 0.
 
-    At level d, pair(act, weights, d) pairs up the indices with bit d set;
-    each pair (i, j) moves 2**d from i to j.
+    At level d, pair(act, weights, d) pairs up the indices with bit d set, in
+    ascending order; each pair (i, j) is a plain move (i + 1, j + 1, 2**d).
     """
     width = p.width
     weights = list(p.weights)
-    txs: list[Transaction] = []
+    planes = _bit_planes(p.weights, width + 1)
+    moves: list[tuple[int, int, int]] = []
     for d in range(width):
-        act = [i for i in range(p.k) if (weights[i] >> d) & 1]
+        act, rest = [], planes[d]
+        while rest:
+            act.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
         if len(act) % 2:
             raise InternalInvariantViolated(f"odd active set at level {d}")
-        size = 1 << d
+        size, receivers = 1 << d, 0
         for i, j in pair(act, weights, d):
-            txs.append(Transaction(i + 1, j + 1, size))
+            moves.append((i + 1, j + 1, size))
             weights[i] -= size
             weights[j] += size
+            receivers |= 1 << j
+        _carry_add(planes, receivers, d + 1)
     survivors = [i for i in range(p.k) if weights[i]]
     if len(survivors) != 1 or weights[survivors[0]] != 1 << width:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
-    txs.append(Transaction(survivors[0] + 1, 0, 1 << width))
-    return tuple(txs)
+    moves.append((survivors[0] + 1, 0, 1 << width))
+    return moves
 
 
-def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
+def bit_matcher(p: Partition, *, plain: bool = False):
     """Optimal zeroing sequence.
 
     Per level d: the indices with bit d set are split into halves by
     bit-lexicographic order; each of the smaller half donates 2**d to its
     counterpart in the larger half.  A final move sends the surviving
-    2**width weight to target 0.
+    2**width weight to target 0.  plain=True keeps the (src, dst, size) tuples.
     """
-    fmt = f"0{p.width}b"
 
     def halves(act, weights, d):
-        # reversed fixed-width binary: string order is bit-reversed value order;
-        # the sort is stable, so tied keys keep index order
-        act.sort(key=lambda i: format(weights[i], fmt)[::-1])
+        # binary, least significant bit first: string order is bit-reversed value
+        # order, as with zero padding, since a key that is a prefix of another
+        # sorts first; the sort is stable, so tied keys keep index order
+        act.sort(key=lambda i: bin(weights[i])[:1:-1])
         half = len(act) // 2
         return zip(act[:half], act[half:])
 
-    return _level_loop(p, halves)
+    moves = _level_loop(p, halves)
+    return moves if plain else tuple(starmap(Transaction, moves))
 
 
 def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
@@ -65,6 +72,13 @@ def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
     fmt = f"0{count}b"
     rows = "".join([format(w, fmt) for w in reversed(weights)])
     return [int(rows[j::count], 2) for j in range(count - 1, -1, -1)]
+
+
+def _carry_add(planes: list[int], carry: int, e: int) -> None:
+    """Add 2**e to each weight whose bit is set in carry, rippling up the planes."""
+    while carry:
+        planes[e], carry = planes[e] ^ carry, planes[e] & carry
+        e += 1
 
 
 def min_rules(p: Partition) -> int:
@@ -106,13 +120,7 @@ def min_rules(p: Partition) -> int:
             for _ in range(need):
                 rest &= rest - 1
             cand ^= rest
-        carry = act & ~(donors | cand)
-        e = d + 1
-        while carry:
-            plane = planes[e]
-            planes[e] = plane ^ carry
-            carry &= plane
-            e += 1
+        _carry_add(planes, act & ~(donors | cand), d + 1)
     if planes[width].bit_count() != 1:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
     return lam
@@ -130,7 +138,7 @@ def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
                 i, j = j, i
             yield i, j
 
-    return _level_loop(p, shuffled)
+    return tuple(starmap(Transaction, _level_loop(p, shuffled)))
 
 
 def signed_matcher(p: Partition) -> tuple[Transaction, ...]:

@@ -53,16 +53,17 @@ class TernaryPattern:
         return self.value, self.value + self.count
 
     def __str__(self) -> str:
-        wild = ((1 << self.width) - 1) ^ self.care
+        width, value = self.width, self.value
+        wild = ((1 << width) - 1) ^ self.care
         w = wild.bit_length()
-        if w < self.width and not (wild & (wild + 1) or self.value & wild):  # a prefix
-            return format(self.value >> w, f"0{self.width - w}b") + "*" * w
-        if not self.width:
+        if w <= width and not (wild & (wild + 1) or value & wild or value >> width):  # a prefix
+            return bin(value >> w | 1 << (width - w))[3:] + "*" * w  # the 1 keeps leading 0s
+        if not width:
             return ""  # format(0, "00b") is "0"
         # bits read as decimal digits, 1 = set and 2 = wildcard: nothing carries
-        fmt = f"0{self.width}b"
-        digits = int(format(self.value, fmt)) + 2 * int(format(wild, fmt))
-        return str(digits).zfill(self.width).replace("2", "*")
+        fmt = f"0{width}b"
+        digits = int(format(value, fmt)) + 2 * int(format(wild, fmt))
+        return str(digits).zfill(width).replace("2", "*")
 
     @classmethod
     def parse(cls, text: str) -> "TernaryPattern":
@@ -72,13 +73,6 @@ class TernaryPattern:
             raise ValueError(f"bad pattern character {bad[0]!r}")
         care = int("0" + text.replace("0", "1").replace("*", "0"), 2)
         return cls(len(text), care, int("0" + text.replace("*", "0"), 2))
-
-    @classmethod
-    def from_block(cls, width: int, start: int, level: int) -> "TernaryPattern":
-        """Prefix pattern covering the aligned block [start, start + 2**level)."""
-        assert start % (1 << level) == 0
-        care = ((1 << (width - level)) - 1) << level
-        return cls(width, care, start)
 
 
 def intersect_two(a: TernaryPattern, b: TernaryPattern) -> TernaryPattern | None:
@@ -149,27 +143,28 @@ def synthesize_lpm(p: Partition) -> RuleTable:
     the lowest addresses of its receiver's first run and pins them to its
     donor with a rule stacked on top.
     """
-    return _table_from_sequence(bit_matcher(p))
+    return _table_from_sequence(bit_matcher(p, plain=True))
 
 
-def _table_from_sequence(seq: tuple[Transaction, ...]) -> RuleTable:
-    """synthesize_lpm's table for seq = bit_matcher(p); its last move is the whole space."""
-    last = seq[-1]
-    if not last.is_power_of_two:
-        raise InternalInvariantViolated(f"last move of size {last.size} is not a whole space")
-    width = last.size.bit_length() - 1
-    rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
+def _table_from_sequence(moves) -> RuleTable:
+    """synthesize_lpm's table for bit_matcher(p)'s moves; the last is the whole space."""
+    top, _, space = moves[-1]
+    if space & (space - 1):
+        raise InternalInvariantViolated(f"last move of size {space} is not a whole space")
+    width = space.bit_length() - 1
+    cares = [((1 << width) - 1) >> lvl << lvl for lvl in range(width + 1)]  # by block level
+    rules = [Rule(TernaryPattern(width, 0, 0), top)]
     # target -> its sorted runs; sizes only fall, so run starts stay aligned
-    runs: dict[int, list[tuple[int, int]]] = {last.src: [(0, 1 << width)]}
-    for t in reversed(seq[:-1]):
-        size, lvl = t.size, t.size.bit_length() - 1
-        holding = runs.get(t.dst) or [(0, 0)]  # an empty run fails the guard
+    runs: dict[int, list[tuple[int, int]]] = {top: [(0, space)]}
+    for src, dst, size in reversed(moves[:-1]):
+        lvl = size.bit_length() - 1
+        holding = runs.get(dst) or [(0, 0)]  # an empty run fails the guard
         start, end = holding[0]
         if end - start < size or start % size:
-            raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {t.dst}")
+            raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {dst}")
         holding[:1] = [(start + size, end)] if end - start > size else []
-        rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
-        insort(runs.setdefault(t.src, []), (start, start + size))
+        rules.append(Rule(TernaryPattern(width, cares[lvl], start), src))
+        insort(runs.setdefault(src, []), (start, start + size))
     rules.reverse()
     return RuleTable(width, tuple(rules))
 
@@ -190,12 +185,12 @@ def _excl_count(base: TernaryPattern | None, blockers) -> int:
     return base.count
 
 
-def _fall_through(table: RuleTable):
+def _fall_through(table: RuleTable, runs: bool = True):
     """Where each rule's addresses fall when it is deleted, and the counts.
 
     Returns, per rule, its addresses as (owner, size) runs by their first
     match among the rules below it (owner len(rules) is unmatched), and the
-    first-match address counts per target.
+    first-match address counts per target (runs=False may leave the runs None).
 
     Prefix tables are painted onto a sorted list of segment starts with
     owners, last rule first: just before rule i is painted, the map shows
@@ -230,7 +225,7 @@ def _fall_through(table: RuleTable):
     elif n > _IE_RULE_LIMIT and table.width > _BITSET_WIDTH_LIMIT:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
     elif n > _IE_RULE_LIMIT:
-        below, final = _owner_sets([r.pattern for r in rules], table.width)
+        below, final = _owner_sets([r.pattern for r in rules], table.width, runs)
     else:
         pats = [r.pattern for r in rules]
         owned = [0] * n + [end]
@@ -252,11 +247,12 @@ def _fall_through(table: RuleTable):
     return below, counts
 
 
-def _owner_sets(pats: list[TernaryPattern], width: int):
-    """_fall_through's runs and final (owner, size) pairs, by address sets as
-    ints over chunks of 2**_CHUNK_BITS addresses (the high bits fixed, which a
-    pattern's care bits must match): bit a of a set is low address a, and
-    owner[u] holds the addresses whose first match so far is rule u."""
+def _owner_sets(pats: list[TernaryPattern], width: int, runs: bool):
+    """_fall_through's runs (None unless asked for) and final (owner, size)
+    pairs, by address sets as ints over chunks of 2**_CHUNK_BITS addresses (the
+    high bits fixed, which a pattern's care bits must match): bit a of a set is
+    low address a.  Each chunk is claimed top-down, rule by rule; the runs take a
+    bottom-up pass in which owner[u] holds the addresses whose first match so far is u."""
     n, low = len(pats), min(width, _CHUNK_BITS)
     sets = []  # a pattern's low addresses: its value plus each sum of wildcard bits
     for p in pats:
@@ -264,27 +260,35 @@ def _owner_sets(pats: list[TernaryPattern], width: int):
         for b in range(low):  # a care bit shifts by 0, which leaves s as it is
             s |= s << ((~p.care >> b & 1) << b)
         sets.append(s << (p.value & ((1 << low) - 1)))
-    runs, owned = [{} for _ in range(n)], [0] * (n + 1)
+    below, owned, whole = [{} for _ in range(n)], [0] * (n + 1), (1 << (1 << low)) - 1
     for high in range(0, 1 << width, 1 << low):
-        owner = [0] * n + [(1 << (1 << low)) - 1]
-        for i, p in zip(range(n - 1, -1, -1), reversed(pats)):
-            owner[i] = rest = 0 if (high ^ p.value) & (p.care >> low << low) else sets[i]
-            u = i
+        owner = [0 if (high ^ p.value) & (p.care >> low << low) else s for p, s in zip(pats, sets)]
+        free = whole
+        for u, s in enumerate(owner):
+            claim = s & free
+            owned[u] += claim.bit_count()
+            free ^= claim
+            if not free:
+                break
+        owned[n] += free.bit_count()
+        if not runs:
+            continue
+        owner.append(whole)  # owner[i] is read once the rules below i hold their addresses
+        for i in range(n - 1, -1, -1):
+            rest, u = owner[i], i
             while rest:  # owners i+1..n partition the chunk, so u stops by n
                 u += 1
                 cut = owner[u] & rest
                 if cut:
                     owner[u] ^= cut
-                    runs[i][u] = runs[i].get(u, 0) + cut.bit_count()
+                    below[i][u] = below[i].get(u, 0) + cut.bit_count()
                     rest ^= cut
-        for u, s in enumerate(owner):
-            owned[u] += s.bit_count()
-    return [sorted(r.items()) for r in runs], enumerate(owned)
+    return ([sorted(r.items()) for r in below] if runs else None), enumerate(owned)
 
 
 def evaluate_table(table: RuleTable) -> list[int]:
     """Exact address counts per target, index 0..k (0 = unmatched)."""
-    return _fall_through(table)[1]
+    return _fall_through(table, runs=False)[1]
 
 
 def table_to_sequence(table: RuleTable) -> tuple[Transaction, ...]:
@@ -313,7 +317,7 @@ def table_to_sequence(table: RuleTable) -> tuple[Transaction, ...]:
 # --- text / JSON interchange ---------------------------------------------
 
 def table_to_text(table: RuleTable) -> str:
-    return "\n".join(f"{r.pattern} {r.target}" for r in table.rules)
+    return "\n".join([f"{r.pattern} {r.target}" for r in table.rules])
 
 
 def table_from_text(text: str, width: int | None = None) -> RuleTable:

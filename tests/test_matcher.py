@@ -6,7 +6,14 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from tcamsplit import matcher
-from tcamsplit.core import MAX_WIDTH, Partition, new_partition, sample_partition, validate_sequence
+from tcamsplit.core import (
+    MAX_WIDTH,
+    Partition,
+    Transaction,
+    new_partition,
+    sample_partition,
+    validate_sequence,
+)
 from tcamsplit.errors import BadSum, InstanceTooLarge, TcamSplitError, ZeroWeight
 from tcamsplit.matcher import (
     anchor_sequence,
@@ -378,6 +385,24 @@ def test_min_rules_rejects_negative_weights(weights, negative, width):
 
 # --- bit_matcher relies on a stable sort for ties; an explicit index key is its reference
 
+def _reference_level_loop(p, pair):
+    """The level loop with each active set found by a scan of all k weights,
+    and a Transaction built per move."""
+    weights = list(p.weights)
+    txs = []
+    for d in range(p.width):
+        act = [i for i in range(p.k) if (weights[i] >> d) & 1]
+        assert len(act) % 2 == 0
+        for i, j in pair(act, weights, d):
+            txs.append(Transaction(i + 1, j + 1, 1 << d))
+            weights[i] -= 1 << d
+            weights[j] += 1 << d
+    (survivor,) = [i for i in range(p.k) if weights[i]]
+    assert weights[survivor] == 1 << p.width
+    txs.append(Transaction(survivor + 1, 0, 1 << p.width))
+    return tuple(txs)
+
+
 def _reference_bit_matcher(p):
     """bit_matcher with the tie made explicit: every active index keyed by
     (reversed fixed-width binary of its weight, index) at every level."""
@@ -387,7 +412,20 @@ def _reference_bit_matcher(p):
         half = len(act) // 2
         return zip(act[:half], act[half:])
 
-    return matcher._level_loop(p, halves)
+    return _reference_level_loop(p, halves)
+
+
+def _reference_random_matcher(p, rng):
+    """random_matcher's shuffle and direction rule on the k-scan loop, so
+    the same seed must draw the same sequence."""
+
+    def shuffled(act, weights, d):
+        rng.shuffle(act)
+        for i, j in zip(act[::2], act[1::2]):
+            bi, bj = (weights[i] >> (d + 1)) & 1, (weights[j] >> (d + 1)) & 1
+            yield (j, i) if bi > bj or (bi == bj and rng.getrandbits(1)) else (i, j)
+
+    return _reference_level_loop(p, shuffled)
 
 
 def _bit_matcher_partitions():
@@ -414,9 +452,17 @@ def test_bit_matcher_matches_reference_sort():
     for p in parts:
         got, want = bit_matcher(p), _reference_bit_matcher(p)
         assert got == want
+        assert bit_matcher(p, plain=True) == [tuple(t) for t in want]
 
 
 @settings(max_examples=200, deadline=None)
 @given(uniform_partitions() | tied_partitions())
 def test_bit_matcher_matches_reference_sort_random(p):
     assert bit_matcher(p) == _reference_bit_matcher(p)
+
+
+def test_random_matcher_matches_reference_with_seed():
+    # the active sets come in ascending index order, so the RNG calls are unchanged
+    for n, p in enumerate(_bit_matcher_partitions()):
+        got = random_matcher(p, random.Random(n))
+        assert got == _reference_random_matcher(p, random.Random(n))

@@ -155,13 +155,19 @@ def test_round_trip_random():
         assert evaluate_table(t) == [0, *p.weights]
 
 
+def _block(width, start, level):
+    """Prefix pattern covering the aligned block [start, start + 2**level)."""
+    assert start % (1 << level) == 0
+    return TernaryPattern(width, ((1 << (width - level)) - 1) << level, start)
+
+
 def _reference_synthesize(p):
     """Rescan every held block for the lowest-addressed eligible one: the
     allocator the start-sorted block lists replaced."""
     txs = bit_matcher(p)
     width = p.width
     last = txs[-1]
-    rules = [Rule(TernaryPattern.from_block(width, 0, width), last.src)]
+    rules = [Rule(_block(width, 0, width), last.src)]
     blocks = {last.src: [(0, width)]}  # target -> [(start, level)]
     for t in reversed(txs[:-1]):
         lvl = t.level
@@ -171,7 +177,7 @@ def _reference_synthesize(p):
         while blvl > lvl:
             blvl -= 1
             holding.append((start + (1 << blvl), blvl))
-        rules.append(Rule(TernaryPattern.from_block(width, start, lvl), t.src))
+        rules.append(Rule(_block(width, start, lvl), t.src))
         blocks.setdefault(t.src, []).append((start, lvl))
     rules.reverse()
     return RuleTable(width, tuple(rules))
@@ -196,6 +202,8 @@ def test_synthesize_matches_reference_allocator():
             parts += [sample_partition(k, width, rng) for _ in range(4)]
     for p in parts:
         assert synthesize_lpm(p) == _reference_synthesize(p)
+        # compile --emit-sequence builds the table from the wrapped Transactions
+        assert tcam._table_from_sequence(bit_matcher(p)) == synthesize_lpm(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,10 +225,10 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
     ids=["no-run", "short", "misaligned", "last-not-whole"],
 )
 def test_table_from_sequence_guard(moves):
-    # hand-built sequences that bit_matcher never emits
-    txs = tuple(Transaction(*m) for m in moves)
-    with pytest.raises(InternalInvariantViolated):
-        tcam._table_from_sequence(txs)
+    # hand-built (src, dst, size) moves that bit_matcher never emits, plain and wrapped
+    for seq in (moves, tuple(Transaction(*m) for m in moves)):
+        with pytest.raises(InternalInvariantViolated):
+            tcam._table_from_sequence(seq)
 
 
 def test_evaluate_paper_tables():
@@ -437,9 +445,9 @@ def prefix_tables(draw):
     for _ in range(draw(st.integers(1, 12))):
         level = draw(st.integers(0, width))
         start = draw(st.integers(0, (1 << (width - level)) - 1)) << level
-        pool.append(TernaryPattern.from_block(width, start, level))
+        pool.append(_block(width, start, level))
     if draw(st.booleans()):
-        pool.append(TernaryPattern.from_block(width, 0, width))
+        pool.append(_block(width, 0, width))
     patterns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
     return RuleTable(width, tuple(Rule(q, draw(st.integers(0, k))) for q in patterns))
 
@@ -541,6 +549,74 @@ def test_single_bit_rules_past_ie_limit():
     assert evaluate_table(table) == [0, 2**24 - 1, 1]
     p = new_partition([2**24 - 1, 1], 24)
     assert validate_sequence(p, table_to_sequence(table)).zeroes
+
+
+def _owner_pass_counts(table):
+    """Counts per target by the bottom-up owner-set pass that the top-down
+    claim replaced: per 2**16-address chunk, each rule from the last up takes
+    its addresses from the owners below it, and owners are counted at the end."""
+    pats, width = [r.pattern for r in table.rules], table.width
+    n, low = len(pats), min(width, 16)
+    sets = []
+    for p in pats:
+        s = 1
+        for b in range(low):
+            s |= s << ((~p.care >> b & 1) << b)
+        sets.append(s << (p.value & ((1 << low) - 1)))
+    owned = [0] * (n + 1)
+    for high in range(0, 1 << width, 1 << low):
+        owner = [0] * n + [(1 << (1 << low)) - 1]
+        for i in range(n - 1, -1, -1):
+            p = pats[i]
+            owner[i] = rest = 0 if (high ^ p.value) & (p.care >> low << low) else sets[i]
+            u = i
+            while rest:
+                u += 1
+                cut = owner[u] & rest
+                owner[u] ^= cut
+                rest ^= cut
+        for u, s in enumerate(owner):
+            owned[u] += s.bit_count()
+    targets = [r.target for r in table.rules] + [0]
+    counts = [0] * (table.k + 1)
+    for u, c in enumerate(owned):
+        counts[targets[u]] += c
+    return counts
+
+
+@st.composite
+def wide_general_tables(draw):
+    """21-40 rules over 13-20 bits, mostly wildcards so that rules overlap;
+    targets skip numbers and include 0; the cover may be incomplete."""
+    width = draw(st.integers(13, 20))
+    char = st.sampled_from("*****01")
+    pattern = st.lists(char, min_size=width, max_size=width).map("".join)
+    target = st.sampled_from([0, 1, 2, 5, 9])
+    rules = draw(st.lists(st.tuples(pattern, target), min_size=21, max_size=40))
+    rules[0] = ("*" * (width - 1) + "1", draw(target))  # not a prefix
+    if draw(st.booleans()):
+        rules[-1] = ("*" * width, draw(target))
+    return table_from_text("\n".join(f"{p} {t}" for p, t in rules))
+
+
+@settings(max_examples=12, deadline=None)
+@given(wide_general_tables())
+def test_evaluate_wide_general_matches_lookup_and_owner_pass(table):
+    assert not table.is_prefix_table() and len(table) > 20
+    counts = evaluate_table(table)
+    assert counts == _owner_pass_counts(table)
+    _check_evaluate(table)
+
+
+def test_evaluate_thousand_general_rules():
+    # the owner-set pass counted this in seconds; the claim runs it in tens of ms
+    rng = random.Random(20)
+    lines = ["".join(rng.choice("****01") for _ in range(20)) + f" {rng.randint(0, 9)}"
+             for _ in range(999)]
+    table = table_from_text("\n".join(lines) + "\n" + "*" * 20 + " 3")
+    counts = evaluate_table(table)
+    assert sum(counts) == 2**20
+    assert counts == _owner_pass_counts(table)
 
 
 def test_bit_permuted_prefix_tables():

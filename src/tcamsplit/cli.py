@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import starmap
 
 from . import analysis, core, matcher, signed, tcam, worstcase
 from .errors import BadProbability, TcamSplitError
@@ -34,8 +35,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
-    seq = matcher.bit_matcher(p) if args.emit_sequence else None
-    table = tcam.synthesize_lpm(p) if seq is None else tcam._table_from_sequence(seq)
+    moves = matcher.bit_matcher(p, plain=True) if args.emit_sequence else None
+    table = tcam.synthesize_lpm(p) if moves is None else tcam._table_from_sequence(moves)
+    seq = None if moves is None else tuple(starmap(core.Transaction, moves))
     lo, hi = signed.lpm_bounds(p)
     lam = len(table)
     if args.format == "json":

@@ -83,9 +83,6 @@ class Transaction:
         if self.size <= 0:
             raise IndexOutOfRange(f"size {self.size} not positive")
 
-    def __iter__(self):  # unpacks as the plain (src, dst, size) move the matchers build
-        return iter((self.src, self.dst, self.size))
-
     @property
     def is_power_of_two(self) -> bool:
         return self.size & (self.size - 1) == 0

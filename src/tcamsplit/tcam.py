@@ -230,12 +230,12 @@ def _fall_through(table: RuleTable, runs: bool = True):
         pats = [r.pattern for r in rules]
         owned = [0] * n + [end]
         for i in range(n - 1, -1, -1):
-            runs = [
+            cuts = [
                 (u, _excl_count(intersect_two(pats[i], pats[u]), pats[i + 1:u]))
                 for u in range(i + 1, n)
             ]
-            runs.append((n, pats[i].count - sum(cut for _, cut in runs)))
-            below[i] = [(u, cut) for u, cut in runs if cut]
+            cuts.append((n, pats[i].count - sum(cut for _, cut in cuts)))
+            below[i] = [(u, cut) for u, cut in cuts if cut]
             for u, cut in below[i]:
                 owned[u] -= cut
             owned[i] = pats[i].count

@@ -4,10 +4,11 @@
         --claim compile:ops_per_s:1.2
 
 --parent and --change are two checkouts, for example two `git worktree`s.
-Each pair runs every workload of the change's BENCHMARK.json once on each
-tree, one run at a time, with the tree's own unmodified `perfbench/run.py
---seconds S --trace 0` and seed 41 + pair; the parent runs first in even
-pairs.  Both trees must hold the same benchmark files.
+Each of the 10 pairs runs every workload of the change's BENCHMARK.json once
+on each tree, one run at a time, with the tree's own unmodified
+`perfbench/run.py --seconds 25 --trace 0` and seed 41 + pair; the parent runs
+first in even pairs.  Both trees must hold the same benchmark files.  The
+report goes to BENCH_<n>.json at the root of this repository.
 
 Per workload and end-to-end metric the file holds each side's median and
 quartiles (statistics.quantiles(n=4, method='inclusive')), the ratio of the
@@ -30,7 +31,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+SECONDS = 25
 FIRST_SEED = 41
+OUT_DIR = Path(__file__).resolve().parent.parent
 BENCH_FILES = ("BENCHMARK.json", "perfbench")
 SIDES = ("parent", "change")
 
@@ -51,11 +55,11 @@ def commit(tree: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One run of the tree's perfbench/run.py: its context and result lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     context, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
@@ -146,10 +150,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", default=None, help="workload:metric:ratio")
-    parser.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len({bench_digest(t) for t in trees.values()}) != 1:
@@ -159,13 +160,13 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
 
     runs: dict[str, list[dict]] = {name: [] for name in names}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         seed = FIRST_SEED + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for name in names:
             entry = {"pair": pair, "seed": seed, "first": order[0]}
             for side in order:
-                entry[side] = run_once(trees[side], name, seed, args.seconds)
+                entry[side] = run_once(trees[side], name, seed)
                 ops = entry[side]["result"]["metrics"]["ops_per_s"]["value"]
                 print(f"pair {pair} {name} {side}: {ops:.1f} ops/s", file=sys.stderr, flush=True)
             runs[name].append(entry)
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
         "parent_commit": parent,
         "change_src_sha256": runs[names[0]][0]["change"]["context"]["src_sha256"],
         "source": (
-            f"perfbench/run.py, unmodified, --seconds {args.seconds:g} --trace 0, one run at a"
+            f"perfbench/run.py, unmodified, --seconds {SECONDS} --trace 0, one run at a"
             f" time on a {len(os.sched_getaffinity(0))}-core {platform.machine()} host under"
             f" CPython {platform.python_version()}; in each pair the parent ({parent}) and the"
             " change alternate which runs first (the parent first in even pairs); quartiles"
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
     }
     if args.claim:
         report["claim_check"] = claim_check(report["workloads"], args.claim)
-    out = args.out_dir / f"BENCH_{args.number}.json"
+    out = OUT_DIR / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(out, file=sys.stderr)
     return 0

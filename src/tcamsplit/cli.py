@@ -12,7 +12,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import starmap
 
 from . import analysis, core, matcher, signed, tcam, worstcase
 from .errors import BadProbability, TcamSplitError
@@ -37,7 +36,7 @@ def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
     moves = matcher.bit_matcher(p, plain=True) if args.emit_sequence else None
     table = tcam.synthesize_lpm(p) if moves is None else tcam._table_from_sequence(moves)
-    seq = None if moves is None else tuple(starmap(core.Transaction, moves))
+    seq = None if moves is None else tuple(core.Transaction(*m) for m in moves)
     lo, hi = signed.lpm_bounds(p)
     lam = len(table)
     if args.format == "json":
@@ -234,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if [] in vars(args).values():  # CPython 3.11's argparse reads --opt=-- as []
+            raise ValueError("an option is missing its value")
         _emit(args.func(args), args.out)
     except (TcamSplitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -483,6 +483,20 @@ def test_fuzz_rw(p, n):
     _exit_code(["rw", f"--p={p}", f"--n={n}"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rw", "--p=0/1", "--n=--"],
+        ["compile", "--weights=--"],
+        ["sample", "--k=--", "--width=3", "--trials=1", "--seed=1"],
+    ],
+)
+def test_option_value_double_dash(argv):
+    # CPython 3.11's argparse parsed --opt=-- as [], which reached the command
+    # and ended in a TypeError traceback
+    assert _exit_code(argv) != 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(

@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import starmap
 
 from . import analysis, core, matcher, signed, tcam, worstcase
 from .errors import BadProbability, TcamSplitError
@@ -34,21 +35,20 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
-    moves = matcher.bit_matcher(p, plain=True) if args.emit_sequence else None
-    table = tcam.synthesize_lpm(p) if moves is None else tcam._table_from_sequence(moves)
-    seq = None if moves is None else tuple(core.Transaction(*m) for m in moves)
+    moves = matcher.bit_matcher(p, plain=True)
+    width, rows = tcam._prefix_rows(moves)
+    rules = [(tcam.prefix_text(start, lvl, width), target) for start, lvl, target in rows]
     lo, hi = signed.lpm_bounds(p)
-    lam = len(table)
     if args.format == "json":
-        obj = tcam.table_to_json_obj(table)
-        obj.update({"lambda": lam, "lpm_lower": lo, "lpm_upper": hi})
-        if seq is not None:
-            obj["sequence"] = core.sequence_to_json_obj(seq)
+        obj = {"width": width, "rules": [{"pattern": pat, "target": t} for pat, t in rules],
+               "lambda": len(rules), "lpm_lower": lo, "lpm_upper": hi}
+        if args.emit_sequence:
+            obj["sequence"] = core.sequence_to_json_obj(tuple(starmap(core.Transaction, moves)))
         return json.dumps(obj, indent=2)
-    lines = [tcam.table_to_text(table)]
-    lines.append(f"# lambda={lam} lpm_lower={lo} lpm_upper={hi}")
-    if seq is not None:
-        lines += [f"# tx {t.src} {t.size} {t.dst}" for t in seq]
+    lines = [f"{pat} {t}" for pat, t in rules]
+    lines.append(f"# lambda={len(rules)} lpm_lower={lo} lpm_upper={hi}")
+    if args.emit_sequence:
+        lines += [f"# tx {src} {size} {dst}" for src, dst, size in moves]
     return "\n".join(lines)
 
 

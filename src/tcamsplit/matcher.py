@@ -24,9 +24,10 @@ def _level_loop(p: Partition, pair) -> list[tuple[int, int, int]]:
     width = p.width
     weights = list(p.weights)
     planes = _bit_planes(p.weights, width + 1)
+    carry = 0  # the indices that carry 2**d into level d; the planes stay as read
     moves: list[tuple[int, int, int]] = []
     for d in range(width):
-        act, rest = [], planes[d]
+        act, rest = [], planes[d] ^ carry
         while rest:
             act.append((rest & -rest).bit_length() - 1)
             rest &= rest - 1
@@ -38,7 +39,7 @@ def _level_loop(p: Partition, pair) -> list[tuple[int, int, int]]:
             weights[i] -= size
             weights[j] += size
             receivers |= 1 << j
-        _carry_add(planes, receivers, d + 1)
+        carry = (planes[d] & carry) | receivers
     survivors = [i for i in range(p.k) if weights[i]]
     if len(survivors) != 1 or weights[survivors[0]] != 1 << width:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
@@ -74,28 +75,22 @@ def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
     return [int(rows[j::count], 2) for j in range(count - 1, -1, -1)]
 
 
-def _carry_add(planes: list[int], carry: int, e: int) -> None:
-    """Add 2**e to each weight whose bit is set in carry, rippling up the planes."""
-    while carry:
-        planes[e], carry = planes[e] ^ carry, planes[e] & carry
-        e += 1
-
-
 def min_rules(p: Partition) -> int:
     """Minimum prefix rule count realizing p: len(bit_matcher(p)), counted.
 
     Runs bit_matcher's level loop on bit planes without building the
     sequence.  The donors at level d are the first half of the active set in
     bit_matcher's order: bits d+1, d+2, ... with zeros first, then the
-    lowest index.  Receivers gain 2**d by a carry-add into the planes above.
+    lowest index.  The planes stay as read: receivers gain 2**d through one
+    carry mask, and no index with bit d set has a carry pending above d.
     """
     width = p.width
-    # every weight stays in 0..2**width, so the carries stay inside these planes
+    # every weight stays in 0..2**width, so no carry leaves plane width
     planes = _bit_planes(p.weights, width + 1)
-    lam = 1
+    lam, carry = 1, 0
     for d in range(width):
-        act = planes[d]
-        if not act:
+        act = planes[d] ^ carry
+        if not act:  # then planes[d] == carry: every carry moves up a level
             continue
         size = act.bit_count()
         if size % 2:
@@ -120,8 +115,8 @@ def min_rules(p: Partition) -> int:
             for _ in range(need):
                 rest &= rest - 1
             cand ^= rest
-        _carry_add(planes, act & ~(donors | cand), d + 1)
-    if planes[width].bit_count() != 1:
+        carry = (planes[d] & carry) | (act & ~(donors | cand))  # receivers gain 2**d
+    if planes[width] & carry or (planes[width] ^ carry).bit_count() != 1:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
     return lam
 

@@ -20,6 +20,7 @@ from .matcher import bit_matcher
 _IE_RULE_LIMIT = 20
 _BITSET_WIDTH_LIMIT = 24
 _CHUNK_BITS = 16  # an owner set holds 2**16 addresses, 8 KiB
+_WALK_BUDGET = 1 << 19  # rules**2 * chunks: each rule's runs may walk every owner below it
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
@@ -57,7 +58,7 @@ class TernaryPattern:
         wild = ((1 << width) - 1) ^ self.care
         w = wild.bit_length()
         if w <= width and not (wild & (wild + 1) or value & wild or value >> width):  # a prefix
-            return bin(value >> w | 1 << (width - w))[3:] + "*" * w  # the 1 keeps leading 0s
+            return prefix_text(value, w, width)
         if not width:
             return ""  # format(0, "00b") is "0"
         # bits read as decimal digits, 1 = set and 2 = wildcard: nothing carries
@@ -143,17 +144,20 @@ def synthesize_lpm(p: Partition) -> RuleTable:
     the lowest addresses of its receiver's first run and pins them to its
     donor with a rule stacked on top.
     """
-    return _table_from_sequence(bit_matcher(p, plain=True))
+    width, rows = _prefix_rows(bit_matcher(p, plain=True))
+    cares = [((1 << width) - 1) >> lvl << lvl for lvl in range(width + 1)]  # by block level
+    rules = [Rule(TernaryPattern(width, cares[lvl], start), target) for start, lvl, target in rows]
+    return RuleTable(width, tuple(rules))
 
 
-def _table_from_sequence(moves) -> RuleTable:
-    """synthesize_lpm's table for bit_matcher(p)'s moves; the last is the whole space."""
+def _prefix_rows(moves) -> tuple[int, list[tuple[int, int, int]]]:
+    """The width, and synthesize_lpm's rules for bit_matcher's plain moves as
+    (start, level, target) rows, top first: each matches 2**level addresses from start."""
     top, _, space = moves[-1]
     if space & (space - 1):
         raise InternalInvariantViolated(f"last move of size {space} is not a whole space")
     width = space.bit_length() - 1
-    cares = [((1 << width) - 1) >> lvl << lvl for lvl in range(width + 1)]  # by block level
-    rules = [Rule(TernaryPattern(width, 0, 0), top)]
+    rows = [(0, width, top)]
     # target -> its sorted runs; sizes only fall, so run starts stay aligned
     runs: dict[int, list[tuple[int, int]]] = {top: [(0, space)]}
     for src, dst, size in reversed(moves[:-1]):
@@ -163,10 +167,15 @@ def _table_from_sequence(moves) -> RuleTable:
         if end - start < size or start % size:
             raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {dst}")
         holding[:1] = [(start + size, end)] if end - start > size else []
-        rules.append(Rule(TernaryPattern(width, cares[lvl], start), src))
+        rows.append((start, lvl, src))
         insort(runs.setdefault(src, []), (start, start + size))
-    rules.reverse()
-    return RuleTable(width, tuple(rules))
+    rows.reverse()
+    return width, rows
+
+
+def prefix_text(start: int, lvl: int, width: int) -> str:
+    """The width-character prefix matching the 2**lvl addresses from start."""
+    return bin(start >> lvl | 1 << (width - lvl))[3:] + "*" * lvl  # the 1 keeps leading 0s
 
 
 # --- evaluation -----------------------------------------------------------
@@ -224,6 +233,8 @@ def _fall_through(table: RuleTable, runs: bool = True):
         final = zip(owners, map(sub, [*starts[1:], end], starts))
     elif n > _IE_RULE_LIMIT and table.width > _BITSET_WIDTH_LIMIT:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
+    elif n > _IE_RULE_LIMIT and runs and n * n << max(table.width - _CHUNK_BITS, 0) > _WALK_BUDGET:
+        raise TooLargeToEvaluate(f"{n} general rules at width {table.width} to resequence")
     elif n > _IE_RULE_LIMIT:
         below, final = _owner_sets([r.pattern for r in rules], table.width, runs)
     else:
@@ -314,7 +325,7 @@ def table_to_sequence(table: RuleTable) -> tuple[Transaction, ...]:
     return tuple(txs)
 
 
-# --- text / JSON interchange ---------------------------------------------
+# --- text interchange -----------------------------------------------------
 
 def table_to_text(table: RuleTable) -> str:
     return "\n".join([f"{r.pattern} {r.target}" for r in table.rules])
@@ -323,7 +334,7 @@ def table_to_text(table: RuleTable) -> str:
 def table_from_text(text: str, width: int | None = None) -> RuleTable:
     def rule(line):
         try:
-            pat_text, target = line.split()
+            pat_text, target = ("", line) if width == 0 else line.split()  # width 0: a target alone
             target = int(target)
         except ValueError:
             raise ValueError(f"expected '<pattern> <target>', got {line!r}") from None
@@ -333,10 +344,3 @@ def table_from_text(text: str, width: int | None = None) -> RuleTable:
     if width is None and not rules:
         raise IncompleteCover("no rules given")
     return RuleTable(rules[0].pattern.width if width is None else width, tuple(rules))
-
-
-def table_to_json_obj(table: RuleTable) -> dict:
-    return {
-        "width": table.width,
-        "rules": [{"pattern": str(r.pattern), "target": r.target} for r in table.rules],
-    }

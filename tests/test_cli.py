@@ -6,11 +6,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from tcamsplit.cli import main
-from tcamsplit.core import MAX_TARGET, sample_partition
+from tcamsplit.core import MAX_TARGET, new_partition, sample_partition
+from tcamsplit.errors import TcamSplitError
+from tcamsplit.matcher import min_rules
+from tcamsplit.tcam import evaluate_table, table_from_text
 from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 REMARK3_W10 = (
@@ -83,6 +86,39 @@ def test_compile_text_bytes(capsys):
     assert code == 0 and out == text
     code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2", "--emit-sequence")
     assert code == 0 and out == text + "# tx 2 1 1\n# tx 3 2 1\n# tx 1 8 0\n"
+
+
+@st.composite
+def compile_partitions(draw):
+    """Uniform partitions up to W=100 and the worst-case families."""
+    width = draw(st.integers(0, 100))
+    gen = draw(st.sampled_from([sample_partition, gen_k3, gen_triplets, gen_general_hard]))
+    try:
+        if gen is sample_partition:
+            k = draw(st.integers(1, min(60, 1 << width)))
+            return sample_partition(k, width, random.Random(draw(st.integers(0, 2**32))))
+        return gen(width) if gen is gen_k3 else gen(draw(st.integers(4, 60)), width)
+    except TcamSplitError:  # too narrow for the family
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(compile_partitions())
+@example(new_partition([1], 0))
+def test_compile_output_reads_back(p):
+    # compile renders its rows without building a RuleTable, so read its text
+    # back through the checked reader
+    argv = ["compile", "--weights", ",".join(map(str, p.weights)), "--width", str(p.width)]
+    text, js = io.StringIO(), io.StringIO()
+    with redirect_stdout(text):
+        assert main(argv) == 0
+    with redirect_stdout(js):
+        assert main(argv + ["--format", "json"]) == 0
+    table = table_from_text(text.getvalue(), p.width)
+    assert evaluate_table(table) == [0, *p.weights]
+    assert len(table) == min_rules(p)
+    rules = json.loads(js.getvalue())["rules"]
+    assert [f"{r['pattern']} {r['target']}" for r in rules] == text.getvalue().splitlines()[:-1]
 
 
 def test_compile_bad_input_exit_1(capsys):

@@ -1,5 +1,7 @@
 import math
 import random
+from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import given, reject, settings
@@ -331,6 +333,14 @@ def test_min_rules_matches_bit_matcher_small_families():
         families = [gen_k2(width)] + ([gen_k3(width)] if width >= 2 else [])
         for p in families:
             assert min_rules(p) == len(bit_matcher(p))
+    # every ordered partition of 2**W into k parts, the support of sample_partition
+    for width in range(6):
+        total = 1 << width
+        for k in range(1, min(4, total) + 1):
+            for cuts in combinations(range(1, total), k - 1):
+                bounds = (0, *cuts, total)
+                p = Partition(tuple(map(sub, bounds[1:], bounds[:-1])), width)
+                assert min_rules(p) == len(bit_matcher(p))
 
 
 @settings(max_examples=100, deadline=None)

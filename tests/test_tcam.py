@@ -1,4 +1,7 @@
+import json
+import math
 import random
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcamsplit import tcam
+from tcamsplit.cli import main
 from tcamsplit.core import (
     MAX_TARGET,
     Transaction,
@@ -225,7 +229,7 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
 def test_table_from_sequence_guard(moves):
     # hand-built (src, dst, size) moves that bit_matcher never emits
     with pytest.raises(InternalInvariantViolated):
-        tcam._table_from_sequence(moves)
+        tcam._prefix_rows(moves)
 
 
 def test_evaluate_paper_tables():
@@ -309,10 +313,11 @@ def test_intersect_power_of_two_random():
             assert brute == merged.count
 
 
-def test_table_text_json_round_trip():
+def test_table_text_json_round_trip(capsys):
     t = synthesize_lpm(new_partition([5, 1, 2], 3))
     assert tcam.table_from_text(table_to_text(t)) == t
-    obj = tcam.table_to_json_obj(t)
+    assert main(["compile", "--weights", "5,1,2", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)  # compile renders without the RuleTable
     assert obj["width"] == 3
     assert [f"{r['pattern']} {r['target']}" for r in obj["rules"]] == table_to_text(t).splitlines()
     commented = "# header\n" + table_to_text(t) + "\n# trailing\n"
@@ -546,6 +551,26 @@ def test_single_bit_rules_past_ie_limit():
     assert evaluate_table(table) == [0, 2**24 - 1, 1]
     p = new_partition([2**24 - 1, 1], 24)
     assert validate_sequence(p, table_to_sequence(table)).zeroes
+
+
+@pytest.mark.parametrize("width", [13, 16, 20, 24])
+def test_resequence_budget(width):
+    # the owner walk takes each rule past up to every owner below it, so
+    # table_to_sequence refuses rules**2 * 2**(width - 16) past its budget
+    most = math.isqrt(tcam._WALK_BUDGET >> max(width - 16, 0))
+    odd = "*" * (width - 1) + "1"  # not a prefix
+    for n in (most, most + 1):
+        rules = (Rule(TernaryPattern.parse(odd), 1),) * (n - 1)
+        table = RuleTable(width, rules + (Rule(TernaryPattern.parse("*" * width), 2),))
+        assert evaluate_table(table) == [0, 2 ** (width - 1), 2 ** (width - 1)]
+        if n == most:
+            assert table_to_sequence(table) == (Transaction(1, 2, 2 ** (width - 1)),
+                                                Transaction(2, 0, 2**width))
+            continue
+        start = time.perf_counter()
+        with pytest.raises(TooLargeToEvaluate, match=f"^{n} general rules at width {width} to"):
+            table_to_sequence(table)
+        assert time.perf_counter() - start < 0.1
 
 
 def _owner_pass_counts(table):

@@ -20,7 +20,7 @@ from .matcher import bit_matcher
 _IE_RULE_LIMIT = 20
 _BITSET_WIDTH_LIMIT = 24
 _CHUNK_BITS = 16  # an owner set holds 2**16 addresses, 8 KiB
-_WALK_BUDGET = 1 << 19  # rules**2 * chunks: each rule's runs may walk every owner below it
+_WALK_BUDGET = 1 << 35  # rules**2 * addresses (2**13 at least): runs may claim past all below
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
@@ -205,9 +205,9 @@ def _fall_through(table: RuleTable, runs: bool = True):
     owners, last rule first: just before rule i is painted, the map shows
     every address's first match below i.  Each paint leaves at most 3
     segments in place of those it covers, so the pass is O(n log n) plus
-    list-slice moves.  General tables run bottom-up, rule i taking its
-    addresses from the owners its runs name: by inclusion-exclusion up to
-    _IE_RULE_LIMIT rules, else by owner address sets.
+    list-slice moves.  General tables of up to _IE_RULE_LIMIT rules run
+    bottom-up by inclusion-exclusion, rule i taking its addresses from the
+    owners its runs name; larger ones claim address sets top-down.
     """
     rules = table.rules
     n = len(rules)
@@ -233,7 +233,7 @@ def _fall_through(table: RuleTable, runs: bool = True):
         final = zip(owners, map(sub, [*starts[1:], end], starts))
     elif n > _IE_RULE_LIMIT and table.width > _BITSET_WIDTH_LIMIT:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
-    elif n > _IE_RULE_LIMIT and runs and n * n << max(table.width - _CHUNK_BITS, 0) > _WALK_BUDGET:
+    elif n > _IE_RULE_LIMIT and runs and n * n << max(table.width, 13) > _WALK_BUDGET:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width} to resequence")
     elif n > _IE_RULE_LIMIT:
         below, final = _owner_sets([r.pattern for r in rules], table.width, runs)
@@ -262,8 +262,9 @@ def _owner_sets(pats: list[TernaryPattern], width: int, runs: bool):
     """_fall_through's runs (None unless asked for) and final (owner, size)
     pairs, by address sets as ints over chunks of 2**_CHUNK_BITS addresses (the
     high bits fixed, which a pattern's care bits must match): bit a of a set is
-    low address a.  Each chunk is claimed top-down, rule by rule; the runs take a
-    bottom-up pass in which owner[u] holds the addresses whose first match so far is u."""
+    low address a.  Both are one top-down claim: free addresses go to each rule
+    from the first in turn, until none are left.  The counts claim the chunk
+    from rule 0, and rule i's runs claim its own addresses from rule i+1."""
     n, low = len(pats), min(width, _CHUNK_BITS)
     sets = []  # a pattern's low addresses: its value plus each sum of wildcard bits
     for p in pats:
@@ -271,30 +272,25 @@ def _owner_sets(pats: list[TernaryPattern], width: int, runs: bool):
         for b in range(low):  # a care bit shifts by 0, which leaves s as it is
             s |= s << ((~p.care >> b & 1) << b)
         sets.append(s << (p.value & ((1 << low) - 1)))
-    below, owned, whole = [{} for _ in range(n)], [0] * (n + 1), (1 << (1 << low)) - 1
+
+    def claim(free, first, into):  # into: owner -> addresses claimed; owner n is unmatched
+        for u in range(first, n):
+            cut = live[u] & free
+            if cut:
+                into[u] = into.get(u, 0) + cut.bit_count()
+                free ^= cut
+                if not free:
+                    return
+        into[n] = into.get(n, 0) + free.bit_count()
+
+    below, owned, whole = [{} for _ in range(n)], {}, (1 << (1 << low)) - 1
     for high in range(0, 1 << width, 1 << low):
-        owner = [0 if (high ^ p.value) & (p.care >> low << low) else s for p, s in zip(pats, sets)]
-        free = whole
-        for u, s in enumerate(owner):
-            claim = s & free
-            owned[u] += claim.bit_count()
-            free ^= claim
-            if not free:
-                break
-        owned[n] += free.bit_count()
-        if not runs:
-            continue
-        owner.append(whole)  # owner[i] is read once the rules below i hold their addresses
-        for i in range(n - 1, -1, -1):
-            rest, u = owner[i], i
-            while rest:  # owners i+1..n partition the chunk, so u stops by n
-                u += 1
-                cut = owner[u] & rest
-                if cut:
-                    owner[u] ^= cut
-                    below[i][u] = below[i].get(u, 0) + cut.bit_count()
-                    rest ^= cut
-    return ([sorted(r.items()) for r in below] if runs else None), enumerate(owned)
+        live = [0 if (high ^ p.value) & (p.care >> low << low) else s for p, s in zip(pats, sets)]
+        claim(whole, 0, owned)
+        for i in range(n if runs else 0):
+            if live[i]:
+                claim(live[i], i + 1, below[i])
+    return ([r.items() for r in below] if runs else None), owned.items()
 
 
 def evaluate_table(table: RuleTable) -> list[int]:

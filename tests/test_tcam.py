@@ -460,7 +460,7 @@ def _reference_sequence(table):
     if any(table.lookup(a) == 0 for a in addrs):
         raise IncompleteCover("reference: some address is unmatched or on target 0")
     rules = table.rules
-    out = []
+    runs = []
     for t, rule in enumerate(rules):
         by_owner = {}
         for a in filter(rule.pattern.matches, addrs):
@@ -469,10 +469,19 @@ def _reference_sequence(table):
                 len(rules),
             )
             by_owner[owner] = by_owner.get(owner, 0) + 1
+        runs.append(sorted(by_owner.items()))
+    return _sequence_from_runs(table, runs)
+
+
+def _sequence_from_runs(table, runs):
+    """The transactions of rule t's (owner, size) runs, sorted by owner: one per
+    target its addresses fall to, in order of first owner, unless it is t's own."""
+    targets = [r.target for r in table.rules] + [0]
+    out = []
+    for rule, by_owner in zip(table.rules, runs):
         moved = {}
-        for owner in sorted(by_owner):
-            tgt = rules[owner].target if owner < len(rules) else 0
-            moved[tgt] = moved.get(tgt, 0) + by_owner[owner]
+        for owner, size in by_owner:
+            moved[targets[owner]] = moved.get(targets[owner], 0) + size
         out += [(rule.target, tgt, n) for tgt, n in moved.items() if tgt != rule.target]
     return out
 
@@ -553,11 +562,12 @@ def test_single_bit_rules_past_ie_limit():
     assert validate_sequence(p, table_to_sequence(table)).zeroes
 
 
-@pytest.mark.parametrize("width", [13, 16, 20, 24])
+@pytest.mark.parametrize("width", [10, 13, 16, 20, 24])
 def test_resequence_budget(width):
-    # the owner walk takes each rule past up to every owner below it, so
-    # table_to_sequence refuses rules**2 * 2**(width - 16) past its budget
-    most = math.isqrt(tcam._WALK_BUDGET >> max(width - 16, 0))
+    # each rule's runs may claim past every rule below it, so table_to_sequence
+    # refuses rules**2 * 2**width past its budget, charging narrow widths as 2**13
+    most = math.isqrt(tcam._WALK_BUDGET >> max(width, 13))
+    assert most == {10: 2048, 13: 2048, 16: 724, 20: 181, 24: 45}[width]
     odd = "*" * (width - 1) + "1"  # not a prefix
     for n in (most, most + 1):
         rules = (Rule(TernaryPattern.parse(odd), 1),) * (n - 1)
@@ -573,10 +583,11 @@ def test_resequence_budget(width):
         assert time.perf_counter() - start < 0.1
 
 
-def _owner_pass_counts(table):
-    """Counts per target by the bottom-up owner-set pass that the top-down
-    claim replaced: per 2**16-address chunk, each rule from the last up takes
-    its addresses from the owners below it, and owners are counted at the end."""
+def _owner_walk(table):
+    """Each rule's runs and the counts per target by the bottom-up owner walk
+    that the top-down claim replaced: per 2**16-address chunk, each rule from
+    the last up takes its addresses from the owners below it (owner[u] holds
+    the addresses whose first match so far is u), and owners are counted at the end."""
     pats, width = [r.pattern for r in table.rules], table.width
     n, low = len(pats), min(width, 16)
     sets = []
@@ -585,7 +596,7 @@ def _owner_pass_counts(table):
         for b in range(low):
             s |= s << ((~p.care >> b & 1) << b)
         sets.append(s << (p.value & ((1 << low) - 1)))
-    owned = [0] * (n + 1)
+    runs, owned = [{} for _ in range(n)], [0] * (n + 1)
     for high in range(0, 1 << width, 1 << low):
         owner = [0] * n + [(1 << (1 << low)) - 1]
         for i in range(n - 1, -1, -1):
@@ -595,15 +606,17 @@ def _owner_pass_counts(table):
             while rest:
                 u += 1
                 cut = owner[u] & rest
-                owner[u] ^= cut
-                rest ^= cut
+                if cut:
+                    owner[u] ^= cut
+                    runs[i][u] = runs[i].get(u, 0) + cut.bit_count()
+                    rest ^= cut
         for u, s in enumerate(owner):
             owned[u] += s.bit_count()
     targets = [r.target for r in table.rules] + [0]
     counts = [0] * (table.k + 1)
     for u, c in enumerate(owned):
         counts[targets[u]] += c
-    return counts
+    return [sorted(r.items()) for r in runs], counts
 
 
 @st.composite
@@ -624,21 +637,34 @@ def wide_general_tables(draw):
 @settings(max_examples=12, deadline=None)
 @given(wide_general_tables())
 def test_evaluate_wide_general_matches_lookup_and_owner_pass(table):
+    # the claim's counts and runs against the owner walk, over up to 16 chunks
     assert not table.is_prefix_table() and len(table) > 20
-    counts = evaluate_table(table)
-    assert counts == _owner_pass_counts(table)
     _check_evaluate(table)
+    # few drawn tables leave no address on target 0, so each is also read
+    # with target 0 renamed and a match-all below, which must resequence
+    renamed = [Rule(r.pattern, r.target or 3) for r in table.rules]
+    covered = RuleTable(table.width, (*renamed, Rule(TernaryPattern.parse("*" * table.width), 7)))
+    for t in (table, covered):
+        runs, counts = _owner_walk(t)
+        assert evaluate_table(t) == counts
+        if counts[0]:
+            with pytest.raises(IncompleteCover):
+                table_to_sequence(t)
+        else:
+            got = [(x.src, x.dst, x.size) for x in table_to_sequence(t)]
+            assert got == _sequence_from_runs(t, runs)
+    assert not counts[0]
 
 
 def test_evaluate_thousand_general_rules():
-    # the owner-set pass counted this in seconds; the claim runs it in tens of ms
+    # the owner walk counted this in seconds; the claim runs it in tens of ms
     rng = random.Random(20)
     lines = ["".join(rng.choice("****01") for _ in range(20)) + f" {rng.randint(0, 9)}"
              for _ in range(999)]
     table = table_from_text("\n".join(lines) + "\n" + "*" * 20 + " 3")
     counts = evaluate_table(table)
     assert sum(counts) == 2**20
-    assert counts == _owner_pass_counts(table)
+    assert counts == _owner_walk(table)[1]
 
 
 def test_bit_permuted_prefix_tables():

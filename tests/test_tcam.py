@@ -653,7 +653,7 @@ def test_evaluate_wide_general_matches_lookup_and_owner_pass(table):
         else:
             got = [(x.src, x.dst, x.size) for x in table_to_sequence(t)]
             assert got == _sequence_from_runs(t, runs)
-    assert not counts[0]
+    assert not counts[0]  # the covered copy took the resequencing branch
 
 
 def test_evaluate_thousand_general_rules():

@@ -45,12 +45,13 @@ class TernaryPattern:
 
     @property
     def prefix_len(self) -> int:
-        assert self.is_prefix()
+        self.interval()  # raises ValueError unless a prefix
         return self.care.bit_count()
 
     def interval(self) -> tuple[int, int]:
         """[lo, hi) address range; prefix patterns only."""
-        assert self.is_prefix()
+        if not self.is_prefix():
+            raise ValueError(f"pattern {self} is not a prefix")
         return self.value, self.value + self.count
 
     def __str__(self) -> str:
@@ -201,36 +202,44 @@ def _fall_through(table: RuleTable, runs: bool = True):
     match among the rules below it (owner len(rules) is unmatched), and the
     first-match address counts per target (runs=False may leave the runs None).
 
-    Prefix tables are painted onto a sorted list of segment starts with
-    owners, last rule first: just before rule i is painted, the map shows
-    every address's first match below i.  Each paint leaves at most 3
-    segments in place of those it covers, so the pass is O(n log n) plus
-    list-slice moves.  General tables of up to _IE_RULE_LIMIT rules run
-    bottom-up by inclusion-exclusion, rule i taking its addresses from the
-    owners its runs name; larger ones claim address sets top-down.
+    Prefix tables, found in one pass that reads each rule's span from its
+    care and value bits, are painted onto a sorted list of segment starts
+    with owners, last rule first: just before rule i is painted, the map
+    shows every address's first match below i.  The starts end in a
+    sentinel, 2**width; each paint keeps the head of the segment it starts
+    in and rewrites the rest of its span with [lo] or [lo, hi], so the pass
+    is O(n log n) plus list-slice moves.  Runs are built only when asked
+    for.  General tables of up to _IE_RULE_LIMIT rules run bottom-up by
+    inclusion-exclusion, rule i taking its addresses from the owners its
+    runs name; larger ones claim address sets top-down.
     """
     rules = table.rules
     n = len(rules)
     end = 1 << table.width
     below = [None] * n
-    if table.is_prefix_table():
-        starts, owners = [0], [n]
+    spans = []  # each rule's [lo, hi), up to the first rule that is not a prefix
+    for r in rules:
+        low = (end - 1) ^ r.pattern.care  # the wildcards, if they are the low bits
+        if low & (low + 1):
+            break
+        spans.append((r.pattern.value, r.pattern.value + low + 1))
+    if len(spans) == n:
+        starts, owners = [0, end], [n]  # segment s is [starts[s], starts[s + 1])
         for i in range(n - 1, -1, -1):
-            lo, hi = rules[i].pattern.interval()
+            lo, hi = spans[i]
             j = bisect_right(starts, lo) - 1
             m = bisect_left(starts, hi, j)
-            edges = [lo, *starts[j + 1:m], hi]
-            below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
-            seg_starts, seg_owners = [lo], [i]
-            if starts[j] < lo:
-                seg_starts.insert(0, starts[j])
-                seg_owners.insert(0, owners[j])
-            if hi < (starts[m] if m < len(starts) else end):
-                seg_starts.append(hi)
-                seg_owners.append(owners[m - 1])
-            starts[j:m] = seg_starts
-            owners[j:m] = seg_owners
-        final = zip(owners, map(sub, [*starts[1:], end], starts))
+            if runs and m == j + 1:  # inside one segment
+                below[i] = [(owners[j], hi - lo)]
+            elif runs:
+                edges = [lo, *starts[j + 1:m], hi]
+                below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
+            j += starts[j] < lo  # segment j keeps its head
+            if hi < starts[m]:  # segment m - 1 keeps its tail
+                starts[j:m], owners[j:m] = [lo, hi], [i, owners[m - 1]]
+            else:
+                starts[j:m], owners[j:m] = [lo], [i]
+        final = zip(owners, map(sub, starts[1:], starts))
     elif n > _IE_RULE_LIMIT and table.width > _BITSET_WIDTH_LIMIT:
         raise TooLargeToEvaluate(f"{n} general rules at width {table.width}")
     elif n > _IE_RULE_LIMIT and runs and n * n << max(table.width, 13) > _WALK_BUDGET:
@@ -311,6 +320,11 @@ def table_to_sequence(table: RuleTable) -> tuple[Transaction, ...]:
     txs: list[Transaction] = []
     targets = [r.target for r in table.rules] + [0]
     for rule, runs in zip(table.rules, below):
+        if len(runs) == 1:  # one group, as in every rule of a synthesized table
+            (owner, size), = runs
+            if targets[owner] != rule.target:
+                txs.append(Transaction(rule.target, targets[owner], size))
+            continue
         moved: dict[int, int] = {}
         # groups in order of their first lower rule; unmatched sorts last
         for owner, size in sorted(runs):

@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import re
 import time
+from bisect import bisect_left, bisect_right
 from functools import reduce
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,17 @@ def test_pattern_parse_format():
     q = TernaryPattern.parse("*0*")
     assert not q.is_prefix() and q.count == 4
     assert [a for a in range(8) if q.matches(a)] == [0, 1, 4, 5]
+
+
+@pytest.mark.parametrize("text", ["0*1", "*0", "1*0*", "*1**"])
+def test_interval_and_prefix_len_refuse_non_prefix(text):
+    # 0*1 matches {1, 3}; an unchecked interval would be [1, 3), that is {1, 2}
+    p = TernaryPattern.parse(text)
+    message = f"^pattern {re.escape(text)} is not a prefix$"
+    with pytest.raises(ValueError, match=message):
+        p.interval()
+    with pytest.raises(ValueError, match=message):
+        p.prefix_len
 
 
 def _per_bit_str(pattern):
@@ -441,7 +455,7 @@ def test_lookup_first_match_priority():
 @st.composite
 def prefix_tables(draw):
     """Prefix rules in any order: random targets (0 included), repeats, gaps."""
-    width = draw(st.integers(1, 10))
+    width = draw(st.integers(0, 10))
     k = draw(st.integers(1, 5))
     pool = []
     for _ in range(draw(st.integers(1, 12))):
@@ -514,6 +528,79 @@ def test_evaluate_prefix_matches_lookup(table):
 @given(prefix_tables())
 def test_table_to_sequence_matches_reference(table):
     _check_sequence(table)
+
+
+def _interval_paint(table):
+    """Each rule's runs, by position, and the counts per target by the interval
+    paint that the sentinel paint replaced: starts without a sentinel, every
+    rule's runs built from its edges, every paint's segments built as new lists."""
+    rules, n, end = table.rules, len(table.rules), 1 << table.width
+    starts, owners, below = [0], [n], [None] * n
+    for i in range(n - 1, -1, -1):
+        lo, hi = rules[i].pattern.interval()
+        j = bisect_right(starts, lo) - 1
+        m = bisect_left(starts, hi, j)
+        edges = [lo, *starts[j + 1:m], hi]
+        below[i] = list(zip(owners[j:m], map(sub, edges[1:], edges[:-1])))
+        seg_starts, seg_owners = [lo], [i]
+        if starts[j] < lo:
+            seg_starts.insert(0, starts[j])
+            seg_owners.insert(0, owners[j])
+        if hi < (starts[m] if m < len(starts) else end):
+            seg_starts.append(hi)
+            seg_owners.append(owners[m - 1])
+        starts[j:m] = seg_starts
+        owners[j:m] = seg_owners
+    targets = [r.target for r in rules] + [0]
+    counts = [0] * (table.k + 1)
+    for owner, size in zip(owners, map(sub, [*starts[1:], end], starts)):
+        counts[targets[owner]] += size
+    return below, counts
+
+
+def _check_paint(table):
+    """The sentinel paint's runs and counts, and both readers, against the reference paint."""
+    below, counts = _interval_paint(table)
+    assert tcam._fall_through(table) == (below, counts)
+    assert tcam._fall_through(table, runs=False) == ([None] * len(table), counts)
+    assert evaluate_table(table) == counts
+    if counts[0]:
+        with pytest.raises(IncompleteCover):
+            table_to_sequence(table)
+    else:
+        got = [(x.src, x.dst, x.size) for x in table_to_sequence(table)]
+        assert got == _sequence_from_runs(table, [sorted(r) for r in below])
+    return below
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables())
+def test_paint_matches_reference_paint(table):
+    _check_paint(table)
+
+
+@pytest.mark.parametrize("text, width, runs", [
+    ("", 0, []),  # no rules: every address unmatched
+    ("", 3, []),
+    (" 1", 0, [[(1, 1)]]),  # width 0: the one address, up to the sentinel
+    ("*** 1\n0** 2\n1** 3", 3, [[(1, 4), (2, 4)], [(3, 4)], [(3, 4)]]),  # several runs
+    ("01* 1\n01* 2\n0** 3\n0** 1\n*** 2", 3,  # duplicate spans, and hi == 2**width
+     [[(1, 2)], [(2, 2)], [(3, 4)], [(4, 4)], [(5, 8)]]),
+    ("1** 1\n*** 2", 3, [[(1, 4)], [(2, 8)]]),
+])
+def test_paint_matches_reference_paint_edge_cases(text, width, runs):
+    table = RuleTable(width, ()) if not text else table_from_text(text, width)
+    assert _check_paint(table) == runs
+
+
+@pytest.mark.parametrize("width", [32, 100])
+@pytest.mark.parametrize("k", [16, 100])
+def test_paint_matches_reference_paint_synthesized(k, width):
+    # synthesized tables: every rule's span lies inside one segment
+    rng = random.Random(k * width)
+    for _ in range(5):
+        table = synthesize_lpm(sample_partition(k, width, rng))
+        assert all(len(r) == 1 for r in _check_paint(table))
 
 
 @st.composite

@@ -580,7 +580,7 @@ def test_paint_matches_reference_paint(table):
 
 
 @pytest.mark.parametrize("text, width, runs", [
-    ("", 0, []),  # no rules: every address unmatched
+    ("", 0, []),  # no rules, RuleTable(width, ()): every address unmatched
     ("", 3, []),
     (" 1", 0, [[(1, 1)]]),  # width 0: the one address, up to the sentinel
     ("*** 1\n0** 2\n1** 3", 3, [[(1, 4), (2, 4)], [(3, 4)], [(3, 4)]]),  # several runs
@@ -589,8 +589,7 @@ def test_paint_matches_reference_paint(table):
     ("1** 1\n*** 2", 3, [[(1, 4)], [(2, 8)]]),
 ])
 def test_paint_matches_reference_paint_edge_cases(text, width, runs):
-    table = RuleTable(width, ()) if not text else table_from_text(text, width)
-    assert _check_paint(table) == runs
+    assert _check_paint(table_from_text(text, width)) == runs
 
 
 @pytest.mark.parametrize("width", [32, 100])

@@ -12,7 +12,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import starmap
 
 from . import analysis, core, matcher, signed, tcam, worstcase
 from .errors import BadProbability, TcamSplitError
@@ -35,7 +34,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
-    moves = matcher.bit_matcher(p, plain=True)
+    moves = tcam.bit_matcher(p)  # matcher._bit_moves, as synthesize_lpm reads it
     width, rows = tcam._prefix_rows(moves)
     rules = [(tcam.prefix_text(start, lvl, width), target) for start, lvl, target in rows]
     lo, hi = signed.lpm_bounds(p)
@@ -43,7 +42,7 @@ def cmd_compile(args) -> str:
         obj = {"width": width, "rules": [{"pattern": pat, "target": t} for pat, t in rules],
                "lambda": len(rules), "lpm_lower": lo, "lpm_upper": hi}
         if args.emit_sequence:
-            obj["sequence"] = core.sequence_to_json_obj(tuple(starmap(core.Transaction, moves)))
+            obj["sequence"] = core.sequence_to_json_obj(moves)
         return json.dumps(obj, indent=2)
     lines = [f"{pat} {t}" for pat, t in rules]
     lines.append(f"# lambda={len(rules)} lpm_lower={lo} lpm_upper={hi}")

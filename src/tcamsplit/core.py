@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadSum,
@@ -64,32 +65,18 @@ def new_partition(weights, width: int) -> Partition:
     return Partition(tuple(int(w) for w in weights), width)
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """Move `size` addresses' worth of weight from target src to target dst.
-
-    For the LPM model the size is a power of two; general rule-table
-    deletions may produce arbitrary positive sizes (see tcam.table_to_sequence),
-    so the size is stored directly and `level` is derived.
-    """
+class Transaction(NamedTuple):
+    """Move `size` addresses' worth of weight from target src to target dst, as a
+    named (src, dst, size) tuple.  LPM sizes are powers of two; general rule-table
+    deletions (tcam.table_to_sequence) may give any positive size, so `level` is derived."""
 
     src: int
     dst: int
     size: int
 
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise IndexOutOfRange(f"src == dst == {self.src}")
-        if self.size <= 0:
-            raise IndexOutOfRange(f"size {self.size} not positive")
-
-    @property
-    def is_power_of_two(self) -> bool:
-        return self.size & (self.size - 1) == 0
-
     @property
     def level(self) -> int:
-        if not self.is_power_of_two:
+        if self.size <= 0 or self.size & (self.size - 1):
             raise ValueError(f"size {self.size} is not a power of two")
         return self.size.bit_length() - 1
 
@@ -114,24 +101,28 @@ class ValidationReport:
 
 
 def validate_sequence(p: Partition, s: tuple[Transaction, ...]) -> ValidationReport:
-    """Replay s from x_0 = -2**width, x_1..x_k = the weights; report the flags."""
+    """Replay s from x_0 = -2**width, x_1..x_k = the weights; report the flags.
+    A (src, dst, size) move with src == dst, size <= 0 or a target outside
+    0..k raises IndexOutOfRange."""
     values = [-(1 << p.width), *p.weights]
     nonneg = True
     monotone = True
-    pow2 = all(t.is_power_of_two for t in s)
+    pow2 = all(size & (size - 1) == 0 for _, _, size in s)
     zero_terminal = True
     prev_size = 0
-    for idx, t in enumerate(s):
-        if not (0 <= t.src <= p.k) or not (0 <= t.dst <= p.k):
-            raise IndexOutOfRange(f"transaction {t} targets outside 0..{p.k}")
-        values[t.src] -= t.size
-        values[t.dst] += t.size
+    for idx, (src, dst, size) in enumerate(s):
+        if src == dst or size <= 0:
+            raise IndexOutOfRange(f"move {src, dst, size} has src == dst or a size below 1")
+        if not (0 <= src <= p.k) or not (0 <= dst <= p.k):
+            raise IndexOutOfRange(f"move {src, dst, size} targets outside 0..{p.k}")
+        values[src] -= size
+        values[dst] += size
         if any(v < 0 for v in values[1:]):
             nonneg = False
-        if t.size < prev_size:
+        if size < prev_size:
             monotone = False
-        prev_size = t.size
-        if (t.src == 0 or t.dst == 0) and idx != len(s) - 1:
+        prev_size = size
+        if (src == 0 or dst == 0) and idx != len(s) - 1:
             zero_terminal = False
     return ValidationReport(
         zeroes=not any(values),
@@ -198,16 +189,16 @@ def partition_to_json(p: Partition) -> str:
 
 
 def sequence_to_text(s: tuple[Transaction, ...]) -> str:
-    return "\n".join(f"{t.src} {t.size} {t.dst}" for t in s)
+    return "\n".join(f"{src} {size} {dst}" for src, dst, size in s)
 
 
 def sequence_to_json_obj(s: tuple[Transaction, ...]) -> list[dict]:
     return [
         {
-            "src": t.src,
-            "level": t.level if t.is_power_of_two else None,
-            "size": t.size,
-            "dst": t.dst,
+            "src": src,
+            "level": size.bit_length() - 1 if size > 0 and not size & (size - 1) else None,
+            "size": size,
+            "dst": dst,
         }
-        for t in s
+        for src, dst, size in s
     ]

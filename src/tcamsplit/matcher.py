@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, starmap
+from itertools import accumulate
 
 from .core import Partition, Transaction
 from .errors import InstanceTooLarge, InternalInvariantViolated
@@ -47,13 +47,13 @@ def _level_loop(p: Partition, pair) -> list[tuple[int, int, int]]:
     return moves
 
 
-def bit_matcher(p: Partition, *, plain: bool = False):
-    """Optimal zeroing sequence.
+def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
+    """Optimal zeroing sequence as plain (src, dst, size) moves.
 
     Per level d: the indices with bit d set are split into halves by
     bit-lexicographic order; each of the smaller half donates 2**d to its
     counterpart in the larger half.  A final move sends the surviving
-    2**width weight to target 0.  plain=True keeps the (src, dst, size) tuples.
+    2**width weight to target 0.
     """
 
     def halves(act, weights, d):
@@ -64,8 +64,12 @@ def bit_matcher(p: Partition, *, plain: bool = False):
         half = len(act) // 2
         return zip(act[:half], act[half:])
 
-    moves = _level_loop(p, halves)
-    return moves if plain else tuple(starmap(Transaction, moves))
+    return _level_loop(p, halves)
+
+
+def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
+    """Optimal zeroing sequence: _bit_moves as Transactions."""
+    return tuple(map(Transaction._make, _bit_moves(p)))
 
 
 def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
@@ -133,7 +137,7 @@ def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
                 i, j = j, i
             yield i, j
 
-    return tuple(starmap(Transaction, _level_loop(p, shuffled)))
+    return tuple(map(Transaction._make, _level_loop(p, shuffled)))
 
 
 def signed_matcher(p: Partition) -> tuple[Transaction, ...]:

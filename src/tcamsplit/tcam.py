@@ -15,7 +15,8 @@ from .errors import (
     WidthMismatch,
     WidthOverflow,
 )
-from .matcher import bit_matcher
+# the plain moves, bound to the name perfbench/tracing.py wraps; compile reads it too
+from .matcher import _bit_moves as bit_matcher
 
 _IE_RULE_LIMIT = 20
 _BITSET_WIDTH_LIMIT = 24
@@ -145,15 +146,15 @@ def synthesize_lpm(p: Partition) -> RuleTable:
     the lowest addresses of its receiver's first run and pins them to its
     donor with a rule stacked on top.
     """
-    width, rows = _prefix_rows(bit_matcher(p, plain=True))
+    width, rows = _prefix_rows(bit_matcher(p))
     cares = [((1 << width) - 1) >> lvl << lvl for lvl in range(width + 1)]  # by block level
     rules = [Rule(TernaryPattern(width, cares[lvl], start), target) for start, lvl, target in rows]
     return RuleTable(width, tuple(rules))
 
 
 def _prefix_rows(moves) -> tuple[int, list[tuple[int, int, int]]]:
-    """The width, and synthesize_lpm's rules for bit_matcher's plain moves as
-    (start, level, target) rows, top first: each matches 2**level addresses from start."""
+    """The width, and synthesize_lpm's rules for the bit matcher's (src, dst, size)
+    moves as (start, level, target) rows, top first: each matches 2**level from start."""
     top, _, space = moves[-1]
     if space & (space - 1):
         raise InternalInvariantViolated(f"last move of size {space} is not a whole space")

@@ -1,8 +1,16 @@
 """Generators for extremal partitions (tight / near-tight bound instances)."""
 from __future__ import annotations
 
-from .core import MAX_TARGET, Partition, new_partition
-from .errors import KTooLarge, KTooSmall, WidthTooSmall
+from .core import MAX_TARGET, MAX_WIDTH, Partition, new_partition
+from .errors import KTooLarge, KTooSmall, WidthOverflow, WidthTooSmall
+
+
+def _check_width(width: int, least: int) -> None:
+    """Refuse a width outside least..MAX_WIDTH before anything is built."""
+    if width < least:
+        raise WidthTooSmall(f"need width >= {least}, got {width}")
+    if width > MAX_WIDTH:
+        raise WidthOverflow(f"width {width} above {MAX_WIDTH}")
 
 
 def _third_split(total: int) -> list[int]:
@@ -16,8 +24,7 @@ def _third_split(total: int) -> list[int]:
 
 def gen_k2(width: int) -> Partition:
     """Two parts around one third / two thirds; the hardest k=2 instance."""
-    if width < 1:
-        raise WidthTooSmall("need width >= 1")
+    _check_width(width, 1)
     total = 1 << width
     # round half up; never hit exactly for a power of two, documented anyway
     x = (2 * total + 3) // 6
@@ -26,8 +33,7 @@ def gen_k2(width: int) -> Partition:
 
 def gen_k3(width: int) -> Partition:
     """Three near-equal parts; costs one rule per bit."""
-    if width < 2:
-        raise WidthTooSmall("need width >= 2")
+    _check_width(width, 2)
     return new_partition(_third_split(1 << width), width)
 
 
@@ -40,9 +46,8 @@ def gen_triplets(k: int, width: int) -> Partition:
     if k < 4:
         raise KTooSmall("need k >= 4")
     m = (k - 1) // 3
+    _check_width(width, 3 + _ceil_lg(m))  # each triplet needs a sub-width of 2 or more
     sub_width = width - 1 - _ceil_lg(m)
-    if sub_width < 2:
-        raise WidthTooSmall(f"width {width} too small for {m} triplets")
     if k > MAX_TARGET:
         raise KTooLarge(f"k={k} above {MAX_TARGET}")
     triplet_total = 1 << sub_width
@@ -69,9 +74,8 @@ def gen_general_hard(k: int, width: int) -> Partition:
     h = width - ceil(lg k); hard for general ternary tables."""
     if k < 2:
         raise KTooSmall("need k >= 2")
+    _check_width(width, _ceil_lg(k) + 2)
     h = width - _ceil_lg(k)
-    if h < 2:
-        raise WidthTooSmall(f"need width >= ceil(lg k) + 2, got {width}")
     if k > MAX_TARGET:
         raise KTooLarge(f"k={k} above {MAX_TARGET}")
     # base values in {2**h, 2**(h+1)} summing to 2**width, large entries last

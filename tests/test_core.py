@@ -108,6 +108,35 @@ def test_apply_sequence_index_out_of_range():
         validate_sequence(p, seq((1, 4, 3)))
 
 
+@pytest.mark.parametrize("move", [(1, 1, 4), (1, 2, 0)], ids=["self-move", "zero-size"])
+def test_validate_sequence_refuses_self_moves_and_empty_sizes(move):
+    p = new_partition([4, 4], 3)
+    for s in ((Transaction(*move),), (move,), seq((1, 4, 2)) + (move,)):
+        with pytest.raises(IndexOutOfRange):
+            validate_sequence(p, s)
+
+
+def test_transaction_is_a_named_triple():
+    t = Transaction(1, 2, 4)
+    assert t == (1, 2, 4) and (t.src, t.dst, t.size, t.level) == (1, 2, 4, 2)
+    src, dst, size = t
+    assert (src, dst, size) == (1, 2, 4)
+    for size in (0, -4, 3):  # 0 & -1 == 0 must not read as level -1
+        with pytest.raises(ValueError, match=rf"^size {size} is not a power of two$"):
+            Transaction(1, 2, size).level
+    # plain triples read as Transactions do
+    moves = [(2, 1, 1), (3, 1, 2), (1, 0, 8)]
+    p = new_partition([5, 1, 2], 3)
+    assert validate_sequence(p, moves) == validate_sequence(p, tuple(map(Transaction._make, moves)))
+    assert validate_sequence(p, moves).ok_for_synthesis()
+    assert core.sequence_to_text(moves) == "2 1 1\n3 2 1\n1 8 0"
+    assert core.sequence_to_json_obj([(1, 0, 3), (1, 0, 4)]) == [
+        {"src": 1, "level": None, "size": 3, "dst": 0},
+        {"src": 1, "level": 2, "size": 4, "dst": 0},
+    ]
+    assert not validate_sequence(p, [(1, 0, 3)]).power_of_two_sizes
+
+
 def test_validate_sequence_flags():
     p = new_partition([8], 3)
     rep = validate_sequence(p, seq())

@@ -462,7 +462,7 @@ def test_bit_matcher_matches_reference_sort():
     for p in parts:
         got, want = bit_matcher(p), _reference_bit_matcher(p)
         assert got == want
-        assert bit_matcher(p, plain=True) == [(t.src, t.dst, t.size) for t in want]
+        assert matcher._bit_moves(p) == [(t.src, t.dst, t.size) for t in want]
 
 
 @settings(max_examples=200, deadline=None)

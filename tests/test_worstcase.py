@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
-from tcamsplit.core import MAX_TARGET, new_partition
-from tcamsplit.errors import KTooLarge, KTooSmall, WidthTooSmall
+from tcamsplit.core import MAX_TARGET, MAX_WIDTH, new_partition
+from tcamsplit.errors import KTooLarge, KTooSmall, WidthOverflow, WidthTooSmall
 from tcamsplit.matcher import min_rules
 from tcamsplit.signed import general_lower_bound, naf_count, worstcase_cap
 from tcamsplit.worstcase import gen_general_hard, gen_k2, gen_k3, gen_triplets
@@ -87,3 +89,18 @@ def test_generators_refuse_k_above_max_target(gen):
     # both build k-element lists; k = 10**8 at width 128 exhausted memory
     with pytest.raises(KTooLarge, match=rf"^k={MAX_TARGET + 1} above {MAX_TARGET}$"):
         gen(MAX_TARGET + 1, 128)
+
+
+@pytest.mark.parametrize("gen", [
+    gen_k2,
+    gen_k3,
+    lambda width: gen_triplets(12, width),
+    lambda width: gen_general_hard(2, width),
+], ids=["k2", "k3", "triplets", "general"])
+def test_generators_refuse_width_above_max_width_at_once(gen):
+    # the check comes before any value is built: gen_general_hard's delta sum
+    # is quadratic in the width, and 1 << width at width 3 * 10**9 is 375 MB
+    start = time.perf_counter()
+    with pytest.raises(WidthOverflow, match=rf"^width {10**6} above {MAX_WIDTH}$"):
+        gen(10**6)
+    assert time.perf_counter() - start < 0.1

@@ -4,6 +4,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .core import MAX_TARGET, MAX_WIDTH, Partition, Transaction, parse_lines
 from .errors import (
@@ -25,8 +26,7 @@ _WALK_BUDGET = 1 << 35  # rules**2 * addresses (2**13 at least): runs may claim 
 _TERNARY_CHARS = str.maketrans("", "", "01*")
 
 
-@dataclass(frozen=True)
-class TernaryPattern:
+class TernaryPattern(NamedTuple):
     """width-character pattern over {0,1,*}; bit position = significance."""
 
     width: int
@@ -74,8 +74,12 @@ class TernaryPattern:
         bad = text.translate(_TERNARY_CHARS)  # what is left is not 0, 1 or *
         if bad:
             raise ValueError(f"bad pattern character {bad[0]!r}")
+        width, head = len(text), text.rstrip("*")
+        if "*" not in head:  # a prefix, read by one int; tuple.__new__ skips NamedTuple.__new__
+            lvl = width - len(head)
+            return tuple.__new__(cls, (width, (1 << width) - (1 << lvl), int("0" + head, 2) << lvl))
         care = int("0" + text.replace("0", "1").replace("*", "0"), 2)
-        return cls(len(text), care, int("0" + text.replace("*", "0"), 2))
+        return tuple.__new__(cls, (width, care, int("0" + text.replace("*", "0"), 2)))
 
 
 def intersect_two(a: TernaryPattern, b: TernaryPattern) -> TernaryPattern | None:
@@ -87,8 +91,7 @@ def intersect_two(a: TernaryPattern, b: TernaryPattern) -> TernaryPattern | None
     return TernaryPattern(a.width, a.care | b.care, a.value | b.value)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     pattern: TernaryPattern
     target: int
 
@@ -348,8 +351,10 @@ def table_from_text(text: str, width: int | None = None) -> RuleTable:
             pat_text, target = ("", line) if width == 0 else line.split()  # width 0: a target alone
             target = int(target)
         except ValueError:
-            raise ValueError(f"expected '<pattern> <target>', got {line!r}") from None
-        return Rule(TernaryPattern.parse(pat_text), target)
+            bare = width is None and line.isdecimal() and line[0] != "0"  # "01" is a pattern
+            hint = " (a width-0 table reads with --width 0)" if bare else ""
+            raise ValueError(f"expected '<pattern> <target>', got {line!r}{hint}") from None
+        return tuple.__new__(Rule, (TernaryPattern.parse(pat_text), target))  # skips Rule.__new__
 
     rules = parse_lines(text, rule)
     if width is None and not rules:

@@ -426,6 +426,18 @@ def test_verify_names_malformed_line(capsys, tmp_path, line):
     assert err == f"error: line 3: expected '<pattern> <target>', got {line!r}\n"
 
 
+def test_verify_hints_width_zero(capsys, tmp_path):
+    # a width-0 rule prints as its target alone, which reads back only with --width 0
+    f = tmp_path / "rules.txt"
+    code, out, _ = run_cli(capsys, "compile", "--weights", "1", "--width", "0", "--out", str(f))
+    assert (code, out) == (0, "")
+    code, out, err = run_cli(capsys, "verify", "--rules", str(f))
+    assert (code, out) == (1, "")
+    assert err == ("error: line 1: expected '<pattern> <target>', got '1'"
+                   " (a width-0 table reads with --width 0)\n")
+    assert run_cli(capsys, "verify", "--rules", str(f), "--width", "0") == (0, "1 1\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, text, message",
     [(("verify", "--rules"), "0x 1\n** 1\n", "line 1: bad pattern character 'x'"),

@@ -5,6 +5,7 @@ import re
 import time
 from bisect import bisect_left, bisect_right
 from functools import reduce
+from itertools import product
 from operator import sub
 from pathlib import Path
 
@@ -59,6 +60,54 @@ def test_pattern_parse_format():
     q = TernaryPattern.parse("*0*")
     assert not q.is_prefix() and q.count == 4
     assert [a for a in range(8) if q.matches(a)] == [0, 1, 4, 5]
+
+
+def _replace_parse(text):
+    """(width, care, value) by the str.replace reads parse used for every pattern."""
+    care = int("0" + text.replace("0", "1").replace("*", "0"), 2)
+    return len(text), care, int("0" + text.replace("*", "0"), 2)
+
+
+def test_parse_matches_replace_reads():
+    # prefixes take one int() of their fixed head, other patterns the replace reads
+    texts = ["".join(chars) for width in range(7) for chars in product("01*", repeat=width)]
+    rng = random.Random(18)
+    for _ in range(3000):
+        width = rng.randint(0, 128)
+        chars = rng.choice(["01", "01*"])  # a prefix, or most likely not
+        head = "".join(rng.choice(chars) for _ in range(width))
+        texts.append(head[:rng.randint(0, width)].ljust(width, "*"))
+    assert sum("*" in t.rstrip("*") for t in texts) > 1000  # both paths are run
+    assert sum("*" not in t.rstrip("*") for t in texts) > 1000
+    for text in texts:
+        pattern = TernaryPattern.parse(text)
+        assert pattern == _replace_parse(text), text
+        assert str(pattern) == text
+
+
+@pytest.mark.parametrize("text", ["1_0", "0b1", "+1", "0x1", "1_0**", "-1*", " 1 0"])
+def test_parse_refuses_int_syntax(text):
+    # int(_, 2) reads "1_0" and "0b1", so the character check must come first
+    with pytest.raises(ValueError, match="^bad pattern character"):
+        TernaryPattern.parse(text)
+
+
+def test_pattern_and_rule_are_named_tuples():
+    pattern = TernaryPattern(3, 6, 2)
+    assert pattern == (3, 6, 2) and str(pattern) == "01*"
+    width, care, value = pattern
+    assert (width, care, value) == (pattern.width, pattern.care, pattern.value)
+    rule = Rule(pattern, 5)
+    assert rule == (pattern, 5)
+    pat, target = rule
+    assert pat is rule.pattern and target == rule.target == 5
+    assert TernaryPattern.parse("***").count == 8  # the property shadows tuple.count
+    assert RuleTable(3, (rule,)).k == 5
+    # parse and table_from_text build both by tuple.__new__: still the named types
+    read = table_from_text("01* 5\n0*1 2")
+    assert [type(r) for r in read.rules] == [Rule, Rule]
+    assert [type(r.pattern) for r in read.rules] == [TernaryPattern, TernaryPattern]
+    assert read.rules == (rule, (TernaryPattern(3, 5, 1), 2))
 
 
 @pytest.mark.parametrize("text", ["0*1", "*0", "1*0*", "*1**"])
@@ -171,6 +220,7 @@ def test_round_trip_random():
         t = synthesize_lpm(p)
         assert len(t) == min_rules(p)
         assert evaluate_table(t) == [0, *p.weights]
+        assert table_from_text(table_to_text(t)) == t
 
 
 def _block(width, start, level):
@@ -769,6 +819,7 @@ def test_bit_permuted_prefix_tables():
             "".join(str(r.pattern)[j] for j in perm) + f" {r.target}" for r in prefix.rules
         )
         table = table_from_text(text)
+        assert table_from_text(table_to_text(table)) == table  # as audit reads it
         if not table.is_prefix_table():
             general["ie" if len(table) <= 20 else "owner sets"] += 1
         assert evaluate_table(table) == evaluate_table(prefix) == [0, *p.weights]

@@ -15,56 +15,86 @@ from .errors import InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _level_loop(p: Partition, pair) -> list[tuple[int, int, int]]:
-    """Zero the weights level by level, then send the 2**width survivor to 0.
+def _level_loop(p: Partition, pair=None) -> tuple[int, int]:
+    """(lambda, survivor index) of the level loop on read-only bit planes.
 
-    At level d, pair(act, weights, d) pairs up the indices with bit d set, in
-    ascending order; each pair (i, j) is a plain move (i + 1, j + 1, 2**d).
+    At level d, half of the indices with bit d set donate 2**d to the other
+    half; receivers gain it through one carry mask, and no active index has a
+    carry pending above d, so its bits above d are as read.  Without pair the
+    donors are bit_matcher's, only counted: the first half of the active set
+    by bits d+1, d+2, ... with zeros first, then the lowest index.  With pair,
+    pair(act, d, planes) gets the active indices in ascending order, records
+    its moves and returns the donor mask.  lambda counts every move.
     """
     width = p.width
-    weights = list(p.weights)
+    # every weight stays in 0..2**width, so no carry leaves plane width
     planes = _bit_planes(p.weights, width + 1)
-    carry = 0  # the indices that carry 2**d into level d; the planes stay as read
-    moves: list[tuple[int, int, int]] = []
+    lam, carry = 1, 0
     for d in range(width):
-        act, rest = [], planes[d] ^ carry
-        while rest:
-            act.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        if len(act) % 2:
+        act = planes[d] ^ carry
+        if not act:  # then planes[d] == carry: every carry moves up a level
+            continue
+        size = act.bit_count()
+        if size % 2:
             raise InternalInvariantViolated(f"odd active set at level {d}")
-        size, receivers = 1 << d, 0
-        for i, j in pair(act, weights, d):
-            moves.append((i + 1, j + 1, size))
-            weights[i] -= size
-            weights[j] += size
-            receivers |= 1 << j
-        carry = (planes[d] & carry) | receivers
-    survivors = [i for i in range(p.k) if weights[i]]
-    if len(survivors) != 1 or weights[survivors[0]] != 1 << width:
+        need = size // 2
+        lam += need
+        if pair is not None:
+            ix, rest = [], act
+            while rest:
+                ix.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            donors = pair(ix, d, planes)
+        else:
+            donors, cand = 0, act  # the other `need` donors are still in cand
+            e = d + 1
+            while need != size and e <= width:
+                zeros = cand & ~planes[e]
+                z = zeros.bit_count()
+                if z >= need:
+                    cand, size = zeros, z
+                else:
+                    donors |= zeros
+                    cand ^= zeros
+                    need -= z
+                    size -= z
+                e += 1
+            if need < size:  # tied keys are equal weights; the lowest indices donate
+                rest = cand
+                for _ in range(need):
+                    rest &= rest - 1
+                cand ^= rest
+            donors |= cand
+        carry = (planes[d] & carry) | (act & ~donors)  # receivers gain 2**d
+    last = planes[width] ^ carry
+    if planes[width] & carry or last.bit_count() != 1:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
-    moves.append((survivors[0] + 1, 0, 1 << width))
-    return moves
+    return lam, last.bit_length() - 1
 
 
 def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
     """Optimal zeroing sequence as plain (src, dst, size) moves.
 
-    Per level d: the indices with bit d set are split into halves by
+    Per level d: the active indices are split into halves by
     bit-lexicographic order; each of the smaller half donates 2**d to its
     counterpart in the larger half.  A final move sends the surviving
     2**width weight to target 0.
     """
+    weights, moves = p.weights, []
 
-    def halves(act, weights, d):
-        # binary, least significant bit first: string order is bit-reversed value
-        # order, as with zero padding, since a key that is a prefix of another
-        # sorts first; the sort is stable, so tied keys keep index order
-        act.sort(key=lambda i: bin(weights[i])[:1:-1])
-        half = len(act) // 2
-        return zip(act[:half], act[half:])
+    def halves(act, d, planes):
+        # bits above d, least significant first: string order is bit-reversed
+        # value order, as with zero padding, since a key that is a prefix of
+        # another sorts first; the sort is stable, so tied keys keep index order
+        act.sort(key=lambda i: bin(weights[i] >> d >> 1)[:1:-1])
+        half, size, donors = len(act) // 2, 1 << d, 0
+        for i, j in zip(act[:half], act[half:]):
+            moves.append((i + 1, j + 1, size))
+            donors |= 1 << i
+        return donors
 
-    return _level_loop(p, halves)
+    moves.append((_level_loop(p, halves)[1] + 1, 0, 1 << p.width))
+    return moves
 
 
 def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
@@ -80,64 +110,27 @@ def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
 
 
 def min_rules(p: Partition) -> int:
-    """Minimum prefix rule count realizing p: len(bit_matcher(p)), counted.
-
-    Runs bit_matcher's level loop on bit planes without building the
-    sequence.  The donors at level d are the first half of the active set in
-    bit_matcher's order: bits d+1, d+2, ... with zeros first, then the
-    lowest index.  The planes stay as read: receivers gain 2**d through one
-    carry mask, and no index with bit d set has a carry pending above d.
-    """
-    width = p.width
-    # every weight stays in 0..2**width, so no carry leaves plane width
-    planes = _bit_planes(p.weights, width + 1)
-    lam, carry = 1, 0
-    for d in range(width):
-        act = planes[d] ^ carry
-        if not act:  # then planes[d] == carry: every carry moves up a level
-            continue
-        size = act.bit_count()
-        if size % 2:
-            raise InternalInvariantViolated(f"odd active set at level {d}")
-        need = size // 2
-        lam += need
-        donors, cand = 0, act  # the other `need` donors are still in cand
-        e = d + 1
-        while need != size and e <= width:
-            zeros = cand & ~planes[e]
-            z = zeros.bit_count()
-            if z >= need:
-                cand, size = zeros, z
-            else:
-                donors |= zeros
-                cand ^= zeros
-                need -= z
-                size -= z
-            e += 1
-        if need < size:  # tied keys are equal weights; the lowest indices donate
-            rest = cand
-            for _ in range(need):
-                rest &= rest - 1
-            cand ^= rest
-        carry = (planes[d] & carry) | (act & ~(donors | cand))  # receivers gain 2**d
-    if planes[width] & carry or (planes[width] ^ carry).bit_count() != 1:
-        raise InternalInvariantViolated("matcher did not converge to 2**width")
-    return lam
+    """Minimum prefix rule count realizing p: len(bit_matcher(p)), counted."""
+    return _level_loop(p)[0]
 
 
 def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
     """Uniform random pairing per level; direction decided by bit d+1."""
+    moves = []
 
-    def shuffled(act, weights, d):
+    def shuffled(act, d, planes):
         rng.shuffle(act)
+        up, size, donors = planes[d + 1], 1 << d, 0
         for i, j in zip(act[::2], act[1::2]):
-            bi = (weights[i] >> (d + 1)) & 1
-            bj = (weights[j] >> (d + 1)) & 1
+            bi, bj = up >> i & 1, up >> j & 1
             if bi > bj or (bi == bj and rng.getrandbits(1)):
                 i, j = j, i
-            yield i, j
+            moves.append((i + 1, j + 1, size))
+            donors |= 1 << i
+        return donors
 
-    return tuple(map(Transaction._make, _level_loop(p, shuffled)))
+    moves.append((_level_loop(p, shuffled)[1] + 1, 0, 1 << p.width))
+    return tuple(map(Transaction._make, moves))
 
 
 def signed_matcher(p: Partition) -> tuple[Transaction, ...]:

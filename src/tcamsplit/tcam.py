@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
@@ -123,7 +124,7 @@ class RuleTable:
             if r.target < 0:
                 raise IndexOutOfRange(f"target {r.target} is negative")
 
-    @property
+    @cached_property  # read once per table: the dataclass's == and hash see fields only
     def k(self) -> int:
         return max([r.target for r in self.rules], default=0)
 

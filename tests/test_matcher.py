@@ -397,12 +397,14 @@ def test_min_rules_rejects_negative_weights(weights, negative, width):
 
 def _reference_level_loop(p, pair):
     """The level loop with each active set found by a scan of all k weights,
-    and a Transaction built per move."""
+    and a Transaction built per move.  It also checks what matcher's bit-plane
+    loop rests on: an active index still has its original bits above d."""
     weights = list(p.weights)
     txs = []
     for d in range(p.width):
         act = [i for i in range(p.k) if (weights[i] >> d) & 1]
         assert len(act) % 2 == 0
+        assert all(weights[i] >> (d + 1) == p.weights[i] >> (d + 1) for i in act)
         for i, j in pair(act, weights, d):
             txs.append(Transaction(i + 1, j + 1, 1 << d))
             weights[i] -= 1 << d
@@ -476,3 +478,10 @@ def test_random_matcher_matches_reference_with_seed():
     for n, p in enumerate(_bit_matcher_partitions()):
         got = random_matcher(p, random.Random(n))
         assert got == _reference_random_matcher(p, random.Random(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_partitions() | tied_partitions(), st.integers(0, 2**32))
+def test_random_matcher_matches_reference_with_seed_random(p, seed):
+    got = random_matcher(p, random.Random(seed))
+    assert got == _reference_random_matcher(p, random.Random(seed))

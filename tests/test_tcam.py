@@ -423,6 +423,20 @@ def test_rule_table_k_is_the_highest_target():
     assert table_to_sequence(table) == (Transaction(5, 0, 4),)
 
 
+def test_rule_table_k_is_computed_once():
+    assert RuleTable(3, ()).k == 0
+    rules = tuple(Rule(TernaryPattern.parse(t), n) for t, n in (("01*", 2), ("0**", 7), ("***", 3)))
+    table, twin = RuleTable(3, rules), RuleTable(3, rules)
+    # __post_init__ reads k once, and the instance keeps it
+    assert vars(table)["k"] == table.k == 7
+    assert table == twin and hash(table) == hash(twin)
+    # the frozen dataclass's == and hash read the fields only, not the cached k
+    vars(twin).pop("k")
+    assert table == twin and hash(table) == hash(twin)
+    assert twin.k == 7 and table == twin and hash(table) == hash(twin)
+    assert table != RuleTable(3, rules[:2]) and RuleTable(3, rules[:2]).k == 7
+
+
 def test_rule_table_rejects_stray_pattern_bits():
     # evaluate_table once painted these past the address space: [0, 3, 1]
     star = Rule(TernaryPattern.parse("**"), 2)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .core import Partition, Transaction
 from .errors import InstanceTooLarge, InternalInvariantViolated
@@ -133,39 +134,40 @@ def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
     return tuple(map(Transaction._make, moves))
 
 
+def _digits(p: Partition) -> list[tuple[int, int, int]]:
+    """Every non-zero NAF digit of the parts as (level, part, sign), parts 1-based.
+
+    Once a part's digits below d are settled, its live value is its digits
+    from d up, a non-adjacent string and so that value's NAF: one
+    naf_decompose per part serves every level.
+    """
+    digits = []
+    for i, w in enumerate(p.weights, 1):
+        plus, minus = naf_decompose(w)
+        for mask, sign in ((plus, 1), (minus, -1)):
+            while mask:
+                low = mask & -mask
+                digits.append((low.bit_length() - 1, i, sign))
+                mask ^= low
+    return digits
+
+
 def signed_matcher(p: Partition) -> tuple[Transaction, ...]:
     """Pair +1 digits against -1 digits of the live weights, level by level.
 
     Unpaired digits are settled against target 0, so the unallocated pool
-    may be touched mid-sequence.
+    may be touched mid-sequence.  Level width holds the final full blocks.
     """
-    width = p.width
-    weights = list(p.weights)
     txs: list[Transaction] = []
-    for d in range(width):
-        plus_ix, minus_ix = [], []
-        for i in range(p.k):
-            plus, minus = naf_decompose(weights[i])
-            if (plus >> d) & 1:
-                plus_ix.append(i)
-            elif (minus >> d) & 1:
-                minus_ix.append(i)
-        size = 1 << d
-        for i, j in zip(plus_ix, minus_ix):
-            txs.append(Transaction(i + 1, j + 1, size))
-            weights[i] -= size
-            weights[j] += size
-        for i in plus_ix[len(minus_ix):]:
-            txs.append(Transaction(i + 1, 0, size))
-            weights[i] -= size
-        for j in minus_ix[len(plus_ix):]:
-            txs.append(Transaction(0, j + 1, size))
-            weights[j] += size
-    for i in range(p.k):
-        if weights[i]:
-            if weights[i] != 1 << width:
-                raise InternalInvariantViolated("weight not a full block at the end")
-            txs.append(Transaction(i + 1, 0, 1 << width))
+    for d, level in groupby(sorted(_digits(p)), key=itemgetter(0)):
+        if d > p.width:
+            raise InternalInvariantViolated(f"NAF digit at level {d} above width {p.width}")
+        plus, minus, size = [], [], 1 << d
+        for _, i, sign in level:
+            (plus if sign > 0 else minus).append(i)
+        txs += [Transaction(i, j, size) for i, j in zip(plus, minus)]
+        txs += [Transaction(i, 0, size) for i in plus[len(minus):]]
+        txs += [Transaction(0, j, size) for j in minus[len(plus):]]
     return tuple(txs)
 
 
@@ -178,23 +180,10 @@ def anchor_sequence(p: Partition) -> tuple[Transaction, ...]:
     """
     counts = [1] + [naf_count(w) for w in p.weights]
     anchor = max(range(p.k + 1), key=lambda i: (counts[i], -i))
-    entries: list[tuple[int, int, int]] = []  # (level, index, sign)
-    for i in range(p.k + 1):
-        if i == anchor:
-            continue
-        if i == 0:
-            entries.append((p.width, 0, -1))
-            continue
-        plus, minus = naf_decompose(p.weights[i - 1])
-        for mask, sign in ((plus, 1), (minus, -1)):
-            while mask:
-                low = mask & -mask
-                entries.append((low.bit_length() - 1, i, sign))
-                mask ^= low
-    entries.sort(key=lambda e: (e[0], e[1]))
     return tuple(
         Transaction(i, anchor, 1 << lvl) if sign > 0 else Transaction(anchor, i, 1 << lvl)
-        for lvl, i, sign in entries
+        for lvl, i, sign in sorted([(p.width, 0, -1), *_digits(p)])
+        if i != anchor
     )
 
 

@@ -25,7 +25,7 @@ from tcamsplit.matcher import (
     random_matcher,
     signed_matcher,
 )
-from tcamsplit.signed import lpm_bounds, naf_max, naf_total
+from tcamsplit.signed import lpm_bounds, naf_count, naf_decompose, naf_max, naf_total
 from tcamsplit.worstcase import gen_general_hard, gen_k2, gen_k3, gen_triplets
 
 
@@ -485,3 +485,92 @@ def test_random_matcher_matches_reference_with_seed():
 def test_random_matcher_matches_reference_with_seed_random(p, seed):
     got = random_matcher(p, random.Random(seed))
     assert got == _reference_random_matcher(p, random.Random(seed))
+
+
+# --- signed_matcher and anchor_sequence read one digit list; the per-level
+# --- walks they replaced are their reference
+
+def _reference_signed_matcher(p):
+    """signed_matcher on live weights: every part's NAF is taken again at
+    every level, and a last loop sends each full block to target 0."""
+    width = p.width
+    weights = list(p.weights)
+    txs = []
+    for d in range(width):
+        plus_ix, minus_ix = [], []
+        for i in range(p.k):
+            plus, minus = naf_decompose(weights[i])
+            if (plus >> d) & 1:
+                plus_ix.append(i)
+            elif (minus >> d) & 1:
+                minus_ix.append(i)
+        size = 1 << d
+        for i, j in zip(plus_ix, minus_ix):
+            txs.append(Transaction(i + 1, j + 1, size))
+            weights[i] -= size
+            weights[j] += size
+        for i in plus_ix[len(minus_ix):]:
+            txs.append(Transaction(i + 1, 0, size))
+            weights[i] -= size
+        for j in minus_ix[len(plus_ix):]:
+            txs.append(Transaction(0, j + 1, size))
+            weights[j] += size
+    for i in range(p.k):
+        if weights[i]:
+            assert weights[i] == 1 << width
+            txs.append(Transaction(i + 1, 0, 1 << width))
+    return tuple(txs)
+
+
+def _reference_anchor_sequence(p):
+    """anchor_sequence with each non-anchor candidate's digits listed in
+    its own loop, x_0's single digit included, then sorted by (level, index)."""
+    counts = [1] + [naf_count(w) for w in p.weights]
+    anchor = max(range(p.k + 1), key=lambda i: (counts[i], -i))
+    entries = []
+    for i in range(p.k + 1):
+        if i == anchor:
+            continue
+        if i == 0:
+            entries.append((p.width, 0, -1))
+            continue
+        plus, minus = naf_decompose(p.weights[i - 1])
+        for mask, sign in ((plus, 1), (minus, -1)):
+            while mask:
+                low = mask & -mask
+                entries.append((low.bit_length() - 1, i, sign))
+                mask ^= low
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return tuple(
+        Transaction(i, anchor, 1 << lvl) if sign > 0 else Transaction(anchor, i, 1 << lvl)
+        for lvl, i, sign in entries
+    )
+
+
+def _signed_digit_partitions():
+    yield gen_k2(100)
+    yield gen_k3(100)
+    for gen in (gen_triplets, gen_general_hard):
+        for k in (4, 5, 16, 37, 100):
+            yield gen(k, 100)
+    yield new_partition([1] * 8, 3)  # every candidate has one digit: x_0 anchors
+    yield new_partition([4, 2, 1, 1], 3)  # x_0 anchors and its digit is dropped
+    yield new_partition([1], 0)  # k=1, W=0: one digit, at level W
+    yield new_partition([7, 1], 3)  # 7 = 8 - 1: a -1 digit and a digit at level W
+
+
+def test_signed_sequences_match_reference_grid():
+    for p in _signed_digit_partitions():
+        assert signed_matcher(p) == _reference_signed_matcher(p)
+        assert anchor_sequence(p) == _reference_anchor_sequence(p)
+    assert signed_matcher(new_partition([7, 1], 3)) == ((2, 1, 1), (1, 0, 8))
+    assert anchor_sequence(new_partition([4, 2, 1, 1], 3)) == (
+        (3, 0, 1), (4, 0, 1), (2, 0, 2), (1, 0, 4),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_partitions() | tied_partitions())
+def test_signed_sequences_match_reference_random(p):
+    assert signed_matcher(p) == _reference_signed_matcher(p)
+    assert anchor_sequence(p) == _reference_anchor_sequence(p)

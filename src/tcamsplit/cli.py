@@ -36,16 +36,16 @@ def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
     moves = tcam.bit_matcher(p)  # matcher._bit_moves, as synthesize_lpm reads it
     width, rows = tcam._prefix_rows(moves)
-    rules = [(tcam.prefix_text(start, lvl, width), target) for start, lvl, target in rows]
+    text = tcam.prefix_text
     lo, hi = signed.lpm_bounds(p)
     if args.format == "json":
-        obj = {"width": width, "rules": [{"pattern": pat, "target": t} for pat, t in rules],
-               "lambda": len(rules), "lpm_lower": lo, "lpm_upper": hi}
+        rules = [{"pattern": text(start, lvl, width), "target": t} for start, lvl, t in rows]
+        js = {"width": width, "rules": rules, "lambda": len(rows), "lpm_lower": lo, "lpm_upper": hi}
         if args.emit_sequence:
-            obj["sequence"] = core.sequence_to_json_obj(moves)
-        return json.dumps(obj, indent=2)
-    lines = [f"{pat} {t}" for pat, t in rules]
-    lines.append(f"# lambda={len(rules)} lpm_lower={lo} lpm_upper={hi}")
+            js["sequence"] = core.sequence_to_json_obj(moves)
+        return json.dumps(js, indent=2)
+    lines = [f"{text(start, lvl, width)} {t}" for start, lvl, t in rows]
+    lines.append(f"# lambda={len(rows)} lpm_lower={lo} lpm_upper={hi}")
     if args.emit_sequence:
         lines += [f"# tx {src} {size} {dst}" for src, dst, size in moves]
     return "\n".join(lines)

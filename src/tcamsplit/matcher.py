@@ -81,13 +81,13 @@ def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
     counterpart in the larger half.  A final move sends the surviving
     2**width weight to target 0.
     """
-    weights, moves = p.weights, []
+    rev, moves = [bin(w)[:1:-1] for w in p.weights], []  # each weight's bits, lowest first
 
     def halves(act, d, planes):
         # bits above d, least significant first: string order is bit-reversed
         # value order, as with zero padding, since a key that is a prefix of
         # another sorts first; the sort is stable, so tied keys keep index order
-        act.sort(key=lambda i: bin(weights[i] >> d >> 1)[:1:-1])
+        act.sort(key=lambda i: rev[i][d + 1:])
         half, size, donors = len(act) // 2, 1 << d, 0
         for i, j in zip(act[:half], act[half:]):
             moves.append((i + 1, j + 1, size))

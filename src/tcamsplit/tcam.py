@@ -170,9 +170,9 @@ def _prefix_rows(moves) -> tuple[int, list[tuple[int, int, int]]]:
         lvl = size.bit_length() - 1
         holding = runs.get(dst) or [(0, 0)]  # an empty run fails the guard
         start, end = holding[0]
-        if end - start < size or start % size:
+        if end - start <= size or start % size:  # a target moves once a level: no run empties
             raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {dst}")
-        holding[:1] = [(start + size, end)] if end - start > size else []
+        holding[0] = (start + size, end)
         rows.append((start, lvl, src))
         insort(runs.setdefault(src, []), (start, start + size))
     rows.reverse()

@@ -13,7 +13,8 @@ from tcamsplit.cli import main
 from tcamsplit.core import MAX_TARGET, new_partition, sample_partition
 from tcamsplit.errors import TcamSplitError
 from tcamsplit.matcher import min_rules
-from tcamsplit.tcam import evaluate_table, table_from_text
+from tcamsplit.signed import lpm_bounds
+from tcamsplit.tcam import evaluate_table, synthesize_lpm, table_from_text, table_to_text
 from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 REMARK3_W10 = (
@@ -117,6 +118,10 @@ def test_compile_output_reads_back(p):
     table = table_from_text(text.getvalue(), p.width)
     assert evaluate_table(table) == [0, *p.weights]
     assert len(table) == min_rules(p)
+    # compile's rows and the RuleTable of the same moves render byte for byte alike
+    lo, hi = lpm_bounds(p)
+    footer = f"# lambda={len(table)} lpm_lower={lo} lpm_upper={hi}"
+    assert text.getvalue() == f"{table_to_text(synthesize_lpm(p))}\n{footer}\n"
     rules = json.loads(js.getvalue())["rules"]
     assert [f"{r['pattern']} {r['target']}" for r in rules] == text.getvalue().splitlines()[:-1]
 

@@ -473,6 +473,24 @@ def test_bit_matcher_matches_reference_sort_random(p):
     assert bit_matcher(p) == _reference_bit_matcher(p)
 
 
+@pytest.mark.parametrize(
+    "weights, width, moves",
+    [
+        # level 0: weight 1 has no bits above it and 5 has a 0 next, so the 1
+        # donates; level 1: 2 has none above it and 5 a 1; level 3 is a tie
+        ((1, 5, 2, 8), 4, [(1, 2, 1), (3, 2, 2), (2, 4, 8), (4, 0, 16)]),
+        # equal keys: the lower index donates within each key at levels 0, 2 and 3
+        ((3, 3, 1, 1, 8), 4, [(3, 1, 1), (4, 2, 1), (1, 2, 4), (2, 5, 8), (5, 0, 16)]),
+        ((1,), 0, [(1, 0, 1)]),
+        ((1 << 128,), 128, [(1, 0, 1 << 128)]),
+    ],
+)
+def test_bit_matcher_matches_reference_sort_cases(weights, width, moves):
+    p = new_partition(weights, width)
+    assert bit_matcher(p) == _reference_bit_matcher(p) == tuple(moves)
+    assert matcher._bit_moves(p) == moves
+
+
 def test_random_matcher_matches_reference_with_seed():
     # the active sets come in ascending index order, so the RNG calls are unchanged
     for n, p in enumerate(_bit_matcher_partitions()):

@@ -286,9 +286,10 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
         [(1, 2, 1), (1, 0, 4)],  # the receiver holds no run
         [(3, 2, 2), (2, 1, 1), (1, 0, 4)],  # its first run is shorter than the move
         [(2, 1, 2), (3, 1, 1), (1, 0, 4)],  # its first run starts off the move's alignment
+        [(2, 1, 2), (3, 1, 2), (1, 0, 4)],  # it receives twice at one level: its run is used up
         [(1, 0, 3)],  # the last move, which gives the width, is not a whole space
     ],
-    ids=["no-run", "short", "misaligned", "last-not-whole"],
+    ids=["no-run", "short", "misaligned", "used-up", "last-not-whole"],
 )
 def test_table_from_sequence_guard(moves):
     # hand-built (src, dst, size) moves that bit_matcher never emits

@@ -16,14 +16,12 @@ from .matcher import (
     signed_matcher,
 )
 from .signed import (
-    SignedDigits,
     general_lower_bound,
     lpm_bounds,
     naf_count,
     naf_decompose,
     naf_max,
     naf_total,
-    to_naf,
     worstcase_cap,
 )
 from .tcam import (

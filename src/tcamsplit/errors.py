@@ -63,3 +63,7 @@ class AllZero(TcamSplitError):
 
 class BadCount(TcamSplitError):
     pass
+
+
+class BadOracleInput(TcamSplitError):
+    pass

@@ -12,7 +12,7 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 
 from .core import Partition, Transaction
-from .errors import InstanceTooLarge, InternalInvariantViolated
+from .errors import BadOracleInput, InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
@@ -189,8 +189,9 @@ def anchor_sequence(p: Partition) -> tuple[Transaction, ...]:
 
 # --- brute-force oracle ---------------------------------------------------
 
-def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
-    """Distances from start to every sorted state, searched level by level.
+def _breadth_first(start, width, allow_negative, max_depth=math.inf):
+    """The sorted states first reached from start at each depth, as one list
+    per depth from 0, searched level by level.
 
     A move takes 2**lvl (lvl <= width + 1) from a slot or the unallocated
     pool, which is unconstrained, and gives it to another slot or the pool;
@@ -199,14 +200,13 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
     u = v - lo >= 0, each in a bit field wide enough for it.  Power sums
     1..k fix a multiset of k values (Newton's identities).  A move changes
     the key by one table entry per value it changes, so only a new state is
-    sorted into a tuple.  Stops after max_depth levels, or once goal is
-    reached, or when no new state is left.
+    sorted into a tuple.  Stops after max_depth levels, or when no new state
+    is left.
     """
     if (1 << width) > 256 or len(start) > 5:
         raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
     hi = 1 << (width + 1)
     lo = -hi if allow_negative else 0
-    sizes = [1 << lvl for lvl in range(width + 2)]
     k = len(start)
     # field m holds a sum of k values u**m <= (hi - lo)**m
     bits = [(k * (hi - lo) ** m).bit_length() for m in range(1, k)]
@@ -219,70 +219,56 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf, goal=None):
             key += power << shift
             power *= u
         entry[v] = key
-    start_key = sum(entry[v] for v in start)
-    goal_key = None if goal is None else sum(entry[v] for v in goal)
-    seen = {start_key}
-    dist = {start: 0}
-    frontier = [(start, start_key)]
+    if not all(v in entry for v in start):
+        raise BadOracleInput(f"{start} has a value outside [{lo}, {hi}]")
+    # each value's moves as (new value, key change), smallest size first, so
+    # down[v][n] and up[w][n] move the same 2**n and zip pairs them
+    sizes = [1 << lvl for lvl in range(width + 2)]
+    down = {v: [(v - s, entry[v - s] - entry[v]) for s in sizes if v - s >= lo] for v in entry}
+    up = {v: [(v + s, entry[v + s] - entry[v]) for s in sizes if v + s <= hi] for v in entry}
+    pool = {v: down[v] + up[v] for v in entry}  # to or from the pool
+    level, keys = [start], [sum(entry[v] for v in start)]
+    seen = set(keys)
     depth = 0
-    while frontier and depth < max_depth and goal_key not in seen:
+    while level:
+        yield level
+        if depth == max_depth:
+            return
         depth += 1
-        level, frontier = frontier, []
-        for state, key in level:
-            prev = None
-            for i, v in enumerate(state):
-                if v == prev:  # state is sorted: equal values, equal moves
-                    continue
-                prev = v
-                rest = state[:i] + state[i + 1:]
-                key_i = key - entry[v]
-                for s in sizes:  # to the pool, or to another slot
-                    dec = v - s
-                    if dec < lo:
-                        break
-                    key_d = key_i + entry[dec]
-                    if key_d not in seen:
-                        seen.add(key_d)
-                        nxt = tuple(sorted(rest + (dec,)))
-                        dist[nxt] = depth
-                        frontier.append((nxt, key_d))
-                    last = None
-                    for j, w in enumerate(rest):
-                        if w == last:
-                            continue
-                        last = w
-                        inc = w + s
-                        if inc > hi:
-                            break
-                        key_j = key_d - entry[w] + entry[inc]
-                        if key_j not in seen:
-                            seen.add(key_j)
-                            nxt = tuple(sorted(rest[:j] + (inc,) + rest[j + 1:] + (dec,)))
-                            dist[nxt] = depth
-                            frontier.append((nxt, key_j))
-                for s in sizes:  # from the pool
-                    inc = v + s
-                    if inc > hi:
-                        break
-                    key_p = key_i + entry[inc]
-                    if key_p not in seen:
-                        seen.add(key_p)
-                        nxt = tuple(sorted(rest + (inc,)))
-                        dist[nxt] = depth
-                        frontier.append((nxt, key_p))
-            if goal_key in seen:
-                break
-    return dist
-
-
-def brute_force_lambda(p: Partition, allow_negative: bool = False) -> int:
-    """Exact minimum zeroing-sequence length by breadth-first search over
-    sorted weight multisets.  Desk-scale only."""
-    goal = (0,) * p.k
-    dist = _breadth_first(tuple(sorted(p.weights)), p.width, allow_negative, goal=goal)
-    if goal not in dist:
-        raise InternalInvariantViolated("zero state unreachable")
-    return dist[goal]
+        expand = depth < max_depth  # the last level's keys are never read
+        found, found_keys = [], []
+        for state, key in zip(level, keys):
+            # state is sorted and equal values make equal moves: each distinct
+            # value gives from its first slot to the last slot of each value,
+            # its own too unless that is the same slot
+            firsts = [(i, v) for i, v in enumerate(state) if not i or state[i - 1] != v]
+            lasts = [(i, v) for i, v in enumerate(state) if i == k - 1 or state[i + 1] != v]
+            for i, v in firsts:
+                for new, change in pool[v]:
+                    new_key = key + change
+                    if new_key not in seen:
+                        seen.add(new_key)
+                        nxt = list(state)
+                        nxt[i] = new
+                        nxt.sort()
+                        found.append(tuple(nxt))
+                        if expand:
+                            found_keys.append(new_key)
+                for j, w in lasts:  # to another slot
+                    if j == i:
+                        continue
+                    for (dec, change), (inc, gain) in zip(down[v], up[w]):
+                        new_key = key + change + gain
+                        if new_key not in seen:
+                            seen.add(new_key)
+                            nxt = list(state)
+                            nxt[i] = dec
+                            nxt[j] = inc
+                            nxt.sort()
+                            found.append(tuple(nxt))
+                            if expand:
+                                found_keys.append(new_key)
+        level, keys = found, found_keys
 
 
 def zeroing_distances(
@@ -294,4 +280,42 @@ def zeroing_distances(
     so these are exact minimum zeroing lengths.  Extra zero slots subsume
     smaller k (the pool can simulate any scratch slot).
     """
-    return _breadth_first((0,) * slots, width, allow_negative, max_depth)
+    for name, n in (("width", width), ("slots", slots), ("max_depth", max_depth)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise BadOracleInput(f"{name} must be a non-negative int, got {n!r}")
+    dist = {}
+    for depth, level in enumerate(_breadth_first((0,) * slots, width, allow_negative, max_depth)):
+        dist.update(dict.fromkeys(level, depth))
+    return dist
+
+
+def meet_distances(
+    targets, width: int, slots: int, allow_negative: bool = False, radius: int = 0
+) -> dict[tuple[int, ...], int]:
+    """Exact distance to zero of each sorted target, by meet-in-the-middle.
+
+    Searches from each target t to the first depth a that meets the zero
+    ball, zeroing_distances(width, slots, allow_negative, radius).  Each m
+    met there gives d(t, 0) <= a + d(m, 0) <= a + radius, so a shortest path
+    from t to 0 is in the ball at depth a too: d(t, 0) is the least a + d(m, 0).
+    """
+    ball = zeroing_distances(width, slots, allow_negative, radius)
+    out = {}
+    for target in targets:
+        t = tuple(sorted(target))
+        if len(t) != slots:
+            raise BadOracleInput(f"{target} has {len(t)} values, the zero ball {slots}")
+        for a, level in enumerate(_breadth_first(t, width, allow_negative)):
+            met = [ball[m] for m in level if m in ball]
+            if met:
+                out[t] = a + min(met)
+                break
+    return out
+
+
+def brute_force_lambda(p: Partition, allow_negative: bool = False) -> int:
+    """Exact minimum zeroing-sequence length by breadth-first search over
+    sorted weight multisets, met against the zero ball of radius 2 (at most
+    1128 states within the oracle's limits).  Desk-scale only."""
+    start = tuple(sorted(p.weights))
+    return meet_distances([start], p.width, p.k, allow_negative, 2)[start]

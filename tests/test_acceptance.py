@@ -9,16 +9,16 @@ import random
 
 import pytest
 
+from naf_reference import to_naf
 from tcamsplit.analysis import c_of_k, p_levels, play_game, run_experiment
 from tcamsplit.core import new_partition, sample_partition, validate_sequence
-from tcamsplit.matcher import anchor_sequence, bit_matcher, min_rules, zeroing_distances
+from tcamsplit.matcher import anchor_sequence, bit_matcher, meet_distances, min_rules
 from tcamsplit.signed import (
     lpm_bounds,
     naf_count,
     naf_decompose,
     naf_max,
     naf_total,
-    to_naf,
     worstcase_cap,
 )
 from tcamsplit.tcam import evaluate_table, synthesize_lpm, table_from_text
@@ -78,20 +78,16 @@ def test_criterion_2_worstcase_families():
 
 def test_criterion_3_oracle_equivalence():
     targets = {}
-    max_lam = 0
     for w in range(6):
         for ms in all_partitions(w, 4):
             lam = min_rules(new_partition(ms, w))
             state = tuple(sorted(ms + (0,) * (4 - len(ms))))
             targets[state] = lam
-            max_lam = max(max_lam, lam)
-    dist = zeroing_distances(5, 4, max_depth=max_lam)
-    ok = all(dist.get(state) == lam for state, lam in targets.items())
+    # exact search distances, met against zero balls of 5061 and 5436 states
+    ok = meet_distances(targets, 5, 4, radius=4) == targets
     # negative intermediates never help on the exhaustively checkable range
     neg_targets = {s: l for s, l in targets.items() if sum(s) <= 16}
-    neg_max = max(neg_targets.values())
-    neg_dist = zeroing_distances(4, 4, allow_negative=True, max_depth=neg_max)
-    ok = ok and all(neg_dist.get(s) == l for s, l in neg_targets.items())
+    ok = ok and meet_distances(neg_targets, 4, 4, allow_negative=True, radius=3) == neg_targets
     report("criterion 3: search oracle matches the matcher exhaustively", ok)
 
 

@@ -1,10 +1,14 @@
 """tools/bench_pairs.py decides every BENCH claim: its bound, pair and claim
 rules on hand-built run records."""
 import importlib.util
+import json
 import math
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+import pytest
+
+_REPO = Path(__file__).resolve().parent.parent
+_PATH = _REPO / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -15,10 +19,11 @@ BOUNDS = {
 }
 
 
-def _run(ops_per_s, op_ms_p50):
-    """One side of one pair, as run_once returns it."""
+def _run(ops_per_s, op_ms_p50, wall=None):
+    """One side of one pair, as run_once returns it; raw wall ops/s default to ops_per_s."""
     return {
-        "context": {"wall": [{"ops_per_s": ops_per_s}], "golden_mismatches": []},
+        "context": {"wall": [{"ops_per_s": ops_per_s if wall is None else wall}],
+                    "golden_mismatches": []},
         "result": {
             "failed": 0,
             "attempted": 10,
@@ -29,7 +34,7 @@ def _run(ops_per_s, op_ms_p50):
 
 
 def _summary(parent, change):
-    """summarize over pairs of (ops_per_s, op_ms_p50) per side."""
+    """summarize over pairs of (ops_per_s, op_ms_p50[, wall]) per side."""
     runs = [
         {"pair": n, "seed": 41 + n, "first": "parent" if n % 2 == 0 else "change",
          "parent": _run(*p), "change": _run(*c)}
@@ -82,3 +87,38 @@ def test_claim_inside_the_parent_iqr_is_not_met():
     check = bench_pairs.claim_check({"w": _summary(parent, change)}, "w:ops_per_s:1.1")
     assert check["median_difference"] > check["parent_iqr"]
     assert check["met"] is True
+
+
+def test_speed_claims_need_a_raw_wall_gain():
+    # normalized times 1.25x better in every pair, raw wall ops/s as given
+    parent = [(100.0 + n / 10, 10.0 - n / 100, 100.0) for n in range(10)]
+    for wall, met in [(101.0, True), (100.0, False), (99.0, False)]:
+        change = [(1.25 * ops, ms / 1.25, wall) for ops, ms, _ in parent]
+        out = _summary(parent, change)
+        assert [r["change"]["wall_ops_per_s"] for r in out["runs"]] == [wall] * 10
+        for metric in ("ops_per_s", "op_ms_p50"):
+            check = bench_pairs.claim_check({"w": out}, f"w:{metric}:1.2")
+            assert check["wall_ops_per_s_ratio"] == wall / 100.0
+            assert check["met"] is met
+
+
+@pytest.mark.parametrize("number, claim, met", [
+    (10, "compile:ops_per_s:1.25", True),
+    (13, "compile:ops_per_s:1.2", True),
+    (14, "compile:ops_per_s:1.4", True),
+    (16, "audit:ops_per_s:1.2", True),
+    (18, "audit:ops_per_s:1.10", True),
+    (21, "compile:ops_per_s:1.12", True),
+    # no claim was made: normalized audit read 1.094 and 1.064, raw wall 0.985 and 0.977
+    (19, "audit:ops_per_s:1.05", False),
+    (20, "audit:ops_per_s:1.05", False),
+])
+def test_wall_rule_on_recorded_runs(number, claim, met):
+    report = json.loads((_REPO / f"BENCH_{number}.json").read_text(encoding="utf-8"))
+    check = bench_pairs.claim_check(report["workloads"], claim)
+    assert check["met"] is met
+    assert (check["wall_ops_per_s_ratio"] > 1.0) is met
+    if number == 19:  # every other rule passes: the raw wall rule refuses it
+        assert check["median_ratio"] >= check["target_ratio"]
+        assert check["change_better_pairs"] >= 9
+        assert check["median_difference"] > check["parent_iqr"]

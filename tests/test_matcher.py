@@ -16,7 +16,7 @@ from tcamsplit.core import (
     sample_partition,
     validate_sequence,
 )
-from tcamsplit.errors import BadSum, InstanceTooLarge, TcamSplitError, ZeroWeight
+from tcamsplit.errors import BadOracleInput, BadSum, InstanceTooLarge, TcamSplitError, ZeroWeight
 from tcamsplit.matcher import (
     anchor_sequence,
     bit_matcher,
@@ -178,6 +178,67 @@ def test_zeroing_distances_stop_at_max_depth():
         matcher.zeroing_distances(3, 6)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((-1, 3), "width"),
+    ((3, -2), "slots"),
+    ((3, 3, False, -1), "max_depth"),
+    ((3, 3, False, 2.5), "max_depth"),
+    ((2.0, 3), "width"),
+    (("3", 3), "width"),
+    ((3, True), "slots"),
+    ((3, 3, False, math.inf), "max_depth"),
+])
+def test_zeroing_distances_refuse_bad_counts(args, name):
+    with pytest.raises(BadOracleInput, match=f"^{name} must be a non-negative int, got "):
+        matcher.zeroing_distances(*args)
+
+
+def test_meet_distances_match_zeroing_distances():
+    # every radius 0..3 against targets inside the ball, at radius + 1 and
+    # beyond: every state within 2 moves of zero, and the deepest states of
+    # each space of at most 1000 states
+    for width in range(5):
+        for slots in range(1, 5):
+            for allow_negative in (False, True):
+                values = (2 if allow_negative else 1) * (1 << (width + 1)) + 1
+                cases = [matcher.zeroing_distances(width, slots, allow_negative, 2)]
+                if math.comb(values + slots - 1, slots) <= 1000:
+                    whole = matcher.zeroing_distances(width, slots, allow_negative, 99)
+                    assert len(whole) == math.comb(values + slots - 1, slots)
+                    top = max(whole.values())
+                    cases.append({s: d for s, d in whole.items() if d == top})
+                for radius in range(4):
+                    for targets in cases:
+                        got = matcher.meet_distances(targets, width, slots, allow_negative, radius)
+                        assert got == targets
+
+
+def test_meet_distances_prove_lambda():
+    # unsorted targets are sorted; each lambda is exact, so one lowered by 1 fails
+    parts = [p for width in range(4) for p in _all_partitions(width, 4)]
+    targets = {p.weights + (0,) * (4 - p.k): min_rules(p) for p in parts}
+    got = matcher.meet_distances(targets, 3, 4, radius=2)
+    assert got == {tuple(sorted(t)): lam for t, lam in targets.items()}
+    for t, lam in targets.items():
+        assert got[tuple(sorted(t))] != lam - 1
+
+
+def test_meet_distances_refuse_a_foreign_space():
+    # the search builds its own zero ball, so a target must be a state of its space
+    for targets, width, allow_negative, msg in [
+        ([(0, 0, 4)], 2, False, r"has 3 values, the zero ball 4"),
+        ([(0, 0, 0, 9)], 2, False, r"has a value outside \[0, 8\]"),
+        ([(0, 0, 0, -1)], 2, False, r"has a value outside \[0, 8\]"),
+        ([(0, 0, 0, -9)], 2, True, r"has a value outside \[-8, 8\]"),
+    ]:
+        with pytest.raises(BadOracleInput, match=msg):
+            matcher.meet_distances(targets, width, 4, allow_negative, radius=1)
+    with pytest.raises(BadOracleInput, match="^max_depth must be"):
+        matcher.meet_distances([(0, 0)], 2, 2, radius=-1)
+    with pytest.raises(InstanceTooLarge):
+        matcher.meet_distances([(0,) * 6], 2, 6)
+
+
 # --- the breadth-first oracle against a sorted-tuple search -----------------
 
 def _reference_successors(state, sizes, lo, hi):
@@ -240,9 +301,11 @@ def test_zeroing_distances_match_reference_search():
     # the widest key fields: 2**8 with negatives, five slots
     for allow_negative in (False, True):
         _check_distances(8, 5, allow_negative, 2)
-    # the benchmark's two searches
-    assert len(_check_distances(5, 4, False, 4)) == 5061
-    assert len(_check_distances(4, 4, True, 3)) == 5436
+    # the benchmark's two searches: 5061 and 5436 states, by depth
+    for args, counts in [((5, 4, False, 4), [1, 7, 68, 568, 4417]),
+                         ((4, 4, True, 3), [1, 18, 343, 5074])]:
+        ref = _check_distances(*args)
+        assert [list(ref.values()).count(d) for d in range(args[3] + 1)] == counts
 
 
 def test_brute_force_lambda_matches_reference_search():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naf_reference import to_naf
 from tcamsplit.core import new_partition
 from tcamsplit.errors import KTooSmall
 from tcamsplit.signed import (
@@ -13,7 +14,6 @@ from tcamsplit.signed import (
     naf_decompose,
     naf_max,
     naf_total,
-    to_naf,
     worstcase_cap,
 )
 

@@ -17,7 +17,11 @@ whether the change's median is within the metric's bound.  With --claim
 workload:metric:ratio it also checks a claimed gain: the medians differ by
 at least that factor in the metric's better direction, the change wins at
 least 9 in 10 pairs, and the medians differ by more than the parent's
-interquartile range.
+interquartile range.  A speed claim (ops_per_s, op_ms_p50 or op_ms_p90) must
+also be faster in raw wall time: the change's median raw wall ops/s above the
+parent's.  The normalized metrics scale each op by a calibration task timed
+beside it, so a calibration that runs slower in one tree reads as a gain
+there: 6-9% in two runs whose raw wall ops/s fell.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ FIRST_SEED = 41
 OUT_DIR = Path(__file__).resolve().parent.parent
 BENCH_FILES = ("BENCHMARK.json", "perfbench")
 SIDES = ("parent", "change")
+SPEED_METRICS = ("ops_per_s", "op_ms_p50", "op_ms_p90")
 
 
 def bench_digest(tree: Path) -> str:
@@ -117,9 +122,10 @@ def summarize(runs: list[dict], bounds: dict) -> dict:
         }
     out["runs"] = [
         {"pair": r["pair"], "seed": r["seed"], "first": r["first"],
-         **{s: {name: round(r[s]["result"]["metrics"][name]["value"], 4) for name in bounds}
+         **{s: {"wall_ops_per_s": round(wall[s][n], 4),
+                **{name: round(r[s]["result"]["metrics"][name]["value"], 4) for name in bounds}}
             for s in SIDES}}
-        for r in runs
+        for n, r in enumerate(runs)
     ]
     return out
 
@@ -131,6 +137,7 @@ def claim_check(workloads: dict, claim: str) -> dict:
     ratio = chg / par if entry["better"] == "higher" else par / chg
     iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
     pairs = workloads[workload]["pairs"]
+    wall = workloads[workload]["wall_ops_per_s"]["change_over_parent"]
     return {
         "workload": workload,
         "metric": metric,
@@ -140,8 +147,9 @@ def claim_check(workloads: dict, claim: str) -> dict:
         "pairs": pairs,
         "median_difference": round(abs(chg - par), 4),
         "parent_iqr": round(iqr, 4),
+        "wall_ops_per_s_ratio": wall,
         "met": ratio >= float(target) and entry["change_better_pairs"] >= 0.9 * pairs
-        and abs(chg - par) > iqr,
+        and abs(chg - par) > iqr and (metric not in SPEED_METRICS or wall > 1.0),
     }
 
 

@@ -214,13 +214,14 @@ def test_meet_distances_match_zeroing_distances():
 
 
 def test_meet_distances_prove_lambda():
-    # unsorted targets are sorted; each lambda is exact, so one lowered by 1 fails
+    # criterion 3's check at W <= 3 (targets given unsorted come back sorted):
+    # every lambda matches, and any one lambda lowered by 1 fails it
     parts = [p for width in range(4) for p in _all_partitions(width, 4)]
-    targets = {p.weights + (0,) * (4 - p.k): min_rules(p) for p in parts}
-    got = matcher.meet_distances(targets, 3, 4, radius=2)
-    assert got == {tuple(sorted(t)): lam for t, lam in targets.items()}
+    got = matcher.meet_distances([p.weights + (0,) * (4 - p.k) for p in parts], 3, 4, radius=2)
+    targets = {tuple(sorted(p.weights + (0,) * (4 - p.k))): min_rules(p) for p in parts}
+    assert got == targets
     for t, lam in targets.items():
-        assert got[tuple(sorted(t))] != lam - 1
+        assert got != {**targets, t: lam - 1}
 
 
 def test_meet_distances_refuse_a_foreign_space():

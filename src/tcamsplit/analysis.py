@@ -44,7 +44,7 @@ def rw(p, n: int):
         if n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS:
             raise InstanceTooLarge(
                 f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
-                f"<= {RW_EXACT_MAX_BITS}, got n={n}, denominator {p.denominator}"
+                f"<= {RW_EXACT_MAX_BITS}, got n={n}, a {p.denominator.bit_length()}-bit denominator"
             )
     # p = a/b: after t steps every probability is an integer over b**t,
     # reached with integer weights a (each move) and b - 2a (stay); a float
@@ -70,12 +70,9 @@ def c_prime_of_k(k: int) -> float:
 
 def p_levels(count: int) -> list[Fraction]:
     """Exact probabilities of a +1 (equivalently -1) digit at levels 0..count-1
-    for a uniform value; p_0 = 1/4, then contraction toward 1/6."""
-    sixth = Fraction(1, 6)
-    out = [Fraction(1, 4)]
-    while len(out) < count:
-        out.append(sixth + (sixth - out[-1]) / 2)
-    return out
+    for a uniform value: p_l = 1/6 + (1/12)(-1/2)**l, so p_0 = 1/4, then
+    contraction toward 1/6."""
+    return [Fraction(1, 6) + Fraction(1, 12) * Fraction(-1, 2) ** level for level in range(count)]
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,12 @@ def parse_lines(text: str, parse) -> list:
 
 
 def partition_from_text(text: str, width: int | None = None) -> Partition:
-    ws = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    """Comma-separated weights; an empty field (as in "1,,1" or "1,1,") is
+    refused with ZeroWeight rather than skipped."""
+    toks = text.replace(" ", "").split(",")
+    if "" in toks:
+        raise ZeroWeight(f"empty field {toks.index('') + 1} in the weight list")
+    ws = tuple(map(int, toks))
     if width is None:
         total = sum(ws)
         if total <= 0 or total & (total - 1):

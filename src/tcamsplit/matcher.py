@@ -16,21 +16,23 @@ from .errors import BadOracleInput, InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
 
-def _level_loop(p: Partition, pair=None) -> tuple[int, int]:
-    """(lambda, survivor index) of the level loop on read-only bit planes.
+def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int]]]:
+    """(lambda, moves) of the level loop on read-only bit planes.
 
     At level d, half of the indices with bit d set donate 2**d to the other
     half; receivers gain it through one carry mask, and no active index has a
-    carry pending above d, so its bits above d are as read.  Without pair the
-    donors are bit_matcher's, only counted: the first half of the active set
-    by bits d+1, d+2, ... with zeros first, then the lowest index.  With pair,
-    pair(act, d, planes) gets the active indices in ascending order, records
-    its moves and returns the donor mask.  lambda counts every move.
+    carry pending above d, so its bits above d are as read.  Without pairs the
+    donors are bit_matcher's, only counted, and moves stays empty: the first
+    half of the active set by bits d+1, d+2, ... with zeros first, then the
+    lowest index.  With pairs, pairs(act, d) gets the active indices in
+    ascending order and returns the level's (donor, receiver) index pairs;
+    moves holds each as a 1-based (src, dst, 2**d), then the survivor's
+    (s, 0, 2**width).  lambda counts every move.
     """
     width = p.width
     # every weight stays in 0..2**width, so no carry leaves plane width
     planes = _bit_planes(p.weights, width + 1)
-    lam, carry = 1, 0
+    lam, carry, moves = 1, 0, []
     for d in range(width):
         act = planes[d] ^ carry
         if not act:  # then planes[d] == carry: every carry moves up a level
@@ -40,12 +42,15 @@ def _level_loop(p: Partition, pair=None) -> tuple[int, int]:
             raise InternalInvariantViolated(f"odd active set at level {d}")
         need = size // 2
         lam += need
-        if pair is not None:
+        if pairs is not None:
             ix, rest = [], act
             while rest:
                 ix.append((rest & -rest).bit_length() - 1)
                 rest &= rest - 1
-            donors = pair(ix, d, planes)
+            donors, step = 0, 1 << d
+            for i, j in pairs(ix, d):
+                moves.append((i + 1, j + 1, step))
+                donors |= 1 << i
         else:
             donors, cand = 0, act  # the other `need` donors are still in cand
             e = d + 1
@@ -70,7 +75,9 @@ def _level_loop(p: Partition, pair=None) -> tuple[int, int]:
     last = planes[width] ^ carry
     if planes[width] & carry or last.bit_count() != 1:
         raise InternalInvariantViolated("matcher did not converge to 2**width")
-    return lam, last.bit_length() - 1
+    if pairs is not None:
+        moves.append((last.bit_length(), 0, 1 << width))
+    return lam, moves
 
 
 def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
@@ -81,21 +88,17 @@ def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
     counterpart in the larger half.  A final move sends the surviving
     2**width weight to target 0.
     """
-    rev, moves = [bin(w)[:1:-1] for w in p.weights], []  # each weight's bits, lowest first
+    rev = [bin(w)[:1:-1] for w in p.weights]  # each weight's bits, lowest first
 
-    def halves(act, d, planes):
+    def halves(act, d):
         # bits above d, least significant first: string order is bit-reversed
         # value order, as with zero padding, since a key that is a prefix of
         # another sorts first; the sort is stable, so tied keys keep index order
         act.sort(key=lambda i: rev[i][d + 1:])
-        half, size, donors = len(act) // 2, 1 << d, 0
-        for i, j in zip(act[:half], act[half:]):
-            moves.append((i + 1, j + 1, size))
-            donors |= 1 << i
-        return donors
+        half = len(act) // 2
+        return zip(act[:half], act[half:])
 
-    moves.append((_level_loop(p, halves)[1] + 1, 0, 1 << p.width))
-    return moves
+    return _level_loop(p, halves)[1]
 
 
 def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
@@ -117,21 +120,15 @@ def min_rules(p: Partition) -> int:
 
 def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
     """Uniform random pairing per level; direction decided by bit d+1."""
-    moves = []
+    ws = p.weights
 
-    def shuffled(act, d, planes):
+    def shuffled(act, d):
         rng.shuffle(act)
-        up, size, donors = planes[d + 1], 1 << d, 0
         for i, j in zip(act[::2], act[1::2]):
-            bi, bj = up >> i & 1, up >> j & 1
-            if bi > bj or (bi == bj and rng.getrandbits(1)):
-                i, j = j, i
-            moves.append((i + 1, j + 1, size))
-            donors |= 1 << i
-        return donors
+            bi, bj = ws[i] >> (d + 1) & 1, ws[j] >> (d + 1) & 1
+            yield (j, i) if bi > bj or (bi == bj and rng.getrandbits(1)) else (i, j)
 
-    moves.append((_level_loop(p, shuffled)[1] + 1, 0, 1 << p.width))
-    return tuple(map(Transaction._make, moves))
+    return tuple(map(Transaction._make, _level_loop(p, shuffled)[1]))
 
 
 def _digits(p: Partition) -> list[tuple[int, int, int]]:

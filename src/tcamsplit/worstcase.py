@@ -60,12 +60,8 @@ def gen_triplets(k: int, width: int) -> Partition:
         tail = [leftover]
     elif r == 2:
         tail = [1, leftover - 1]
-    else:
-        if leftover % 2:
-            raise WidthTooSmall("odd left-over cannot be split into three parts")
+    else:  # sub_width >= 2 and 2**ceil_lg(m) >= m: leftover is even and >= 4
         tail = [1, leftover // 2 - 1, leftover // 2]
-    if any(w <= 0 for w in tail):
-        raise WidthTooSmall(f"width {width} too small for k={k}")
     return new_partition(weights + tail, width)
 
 

@@ -54,6 +54,15 @@ def test_rw_exact_cap():
     assert c_of_k(301) > 0
 
 
+@pytest.mark.parametrize("text, bits", [("1e-999", 3319), ("1e-5000", 16610)])
+def test_rw_cap_names_denominator_bit_length(text, bits):
+    # the message printed the whole denominator: 1086 characters for 1e-999,
+    # and for 1e-5000 a ValueError from int-to-str conversion's digit limit
+    with pytest.raises(InstanceTooLarge, match=f"got n=3, a {bits}-bit denominator$") as exc:
+        rw(Fraction(text), 3)
+    assert len(str(exc.value)) < 150
+
+
 def test_rw_monotone():
     vals = [rw(0.2, n) for n in range(12)]
     assert vals == sorted(vals)
@@ -112,6 +121,7 @@ def test_c_of_k():
 
 
 def test_p_levels():
+    assert p_levels(0) == []
     assert p_levels(5) == [
         Fraction(1, 4),
         Fraction(1, 8),

@@ -169,6 +169,15 @@ def test_bounds(capsys):
     assert fields["lpm_lower"] == fields["lpm_upper"] == fields["lambda"] == "1"
 
 
+def test_bounds_json_k2_bytes(capsys):
+    obj = (
+        '{"trivial_lower": 2, "lpm_lower": 6, "lpm_upper": 6, "general_lower": 4, '
+        '"worstcase_cap": 7, "lambda": 6, "phi_total": 11, "phi_max": 6}\n'
+    )
+    argv = ("bounds", "--weights", "683,341", "--width", "10", "--format", "json")
+    assert run_cli(capsys, *argv) == (0, obj, "")
+
+
 def test_bounds_output_bytes(capsys):
     text = (
         "trivial_lower=3\nlpm_lower=3\nlpm_upper=3\ngeneral_lower=3\n"
@@ -275,6 +284,32 @@ def test_sequence_command(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # -1 digits (3 = 4 - 1, 7 = 8 - 1, 9 = 8 + 1) and digits at level W (7 at W=3)
+        ("--weights 3,5,7,9,8 --width 5 --matcher sm", "2 1 1|4 1 3|1 4 0|2 4 0|3 8 0|4 8 0|5 8 0"),
+        ("--weights 3,5,7,9,8 --width 5 --matcher anchor", "2 1 1|1 1 3|4 1 1|2 4 1|3 8 1|4 8 1|5 8 1|1 32 0"),
+        ("--weights 7,1 --width 3 --matcher sm", "2 1 1|1 8 0"),
+        ("--weights 7,1 --width 3 --matcher anchor", "2 1 1|1 8 0"),
+        # a seeded random_matcher: its moves differ from bm's
+        ("--weights 3,5,7,9,8 --width 5 --matcher rm --seed 2", "2 1 3|4 1 1|2 4 1|1 8 5|3 8 4|4 16 5|5 32 0"),
+    ],
+    ids=["sm", "anchor", "sm-7-1", "anchor-7-1", "rm-seed-2"],
+)
+def test_sequence_output_bytes(capsys, argv, out):
+    want = out.replace("|", "\n") + "\n"
+    assert run_cli(capsys, "sequence", *argv.split()) == (0, want, "")
+
+
+@pytest.mark.parametrize("weights", ["1,,1", "1,1,", ",2", ""])
+@pytest.mark.parametrize("cmd", ["bounds", "sequence", "compile"])
+def test_empty_weight_field_exit_1(capsys, cmd, weights):
+    # "1,,1" and "1,1," gave a 2-part answer and exit 0
+    code, out, err = run_cli(capsys, cmd, "--weights", weights)
+    assert (code, out) == (1, "") and err.startswith("error: empty field ")
+
+
 def test_worstcase_command(capsys):
     code, out, _ = run_cli(capsys, "worstcase", "--kind", "k3", "--width", "4")
     assert code == 0 and out.strip() == "5,5,6 lambda=5"
@@ -347,6 +382,8 @@ def test_sample_command(capsys):
     assert row.startswith("3,16,50,")
     argv = ("sample", "--k", "3", "--width", "16", "--trials", "50", "--seed", "7")
     assert run_cli(capsys, *argv, "--format", "csv") == (0, out, "")
+    code, out, _ = run_cli(capsys, "sample", "--k", "3", "--width", "100", "--trials", "50", "--seed", "7")
+    assert (code, out.splitlines()[1]) == (0, "3,100,50,0.189733,0.001288,0.901755,1.159459")
     # a width outside 0..128 used to fail untyped ("negative shift count") or run
     code, out, err = run_cli(capsys, "sample", "--k", "3", "--width", "-1", "--trials", "1", "--seed", "7")
     assert code == 1 and out == "" and err == "error: width -1 outside 0..128\n"
@@ -403,6 +440,12 @@ def test_normalize_rejects(capsys, tmp_path, counts, multiple):
     f.write_text(counts)
     code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", multiple)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_normalize_json_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3\n1\n"))
+    out = '{"width": 8, "weights": [192, 64]}\n'
+    assert run_cli(capsys, "normalize", "--counts", "-", "--format", "json") == (0, out, "")
 
 
 def test_normalize_zero_count_names_line(capsys, tmp_path):
@@ -482,6 +525,15 @@ def test_verify_rejects_huge_target(capsys, tmp_path):
     f.write_text(f"** {MAX_TARGET + 1}\n")
     code, out, err = run_cli(capsys, "verify", "--rules", str(f))
     assert (code, out, err) == (1, "", "error: target 1048577 above 1048576\n")
+
+
+@pytest.mark.parametrize("p, bits", [("1e-999", 3319), ("1e-5000", 16610)])
+def test_rw_too_large_names_denominator_bit_length(capsys, p, bits):
+    # 1e-5000 passes the exponent guard; its message printed the whole
+    # denominator and so failed int-to-str conversion's 4300-digit limit
+    code, out, err = run_cli(capsys, "rw", "--p", p, "--n", "3")
+    assert (code, out) == (1, "") and err.endswith(f"got n=3, a {bits}-bit denominator\n")
+    assert err.startswith("error: exact rw needs") and len(err) < 150
 
 
 @pytest.mark.parametrize(

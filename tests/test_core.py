@@ -219,6 +219,14 @@ def test_sampler_valid_partitions_property(width, data):
     assert sum(p.weights) == 1 << width and len(p.weights) == k
 
 
+@pytest.mark.parametrize("text, field", [("1,,1", 2), ("1,1,", 3), (",2", 1), ("", 1)])
+def test_partition_from_text_refuses_empty_field(text, field):
+    # empty fields were skipped, so "1,,1" and "1,1," were read as 1,1
+    for width in (None, 1):
+        with pytest.raises(ZeroWeight, match=f"^empty field {field} in the weight list$"):
+            core.partition_from_text(text, width)
+
+
 def test_text_and_json_round_trips():
     p = core.partition_from_text("5,1,2")
     assert p == new_partition([5, 1, 2], 3)

@@ -45,6 +45,19 @@ def test_gen_triplets():
         gen_triplets(30, 4)
 
 
+def test_gen_triplets_grid_from_minimum_width():
+    # the width check alone keeps every tail part positive: sub_width >= 2
+    # makes the left-over even, and 2**ceil_lg(m) >= m makes it >= 2**sub_width
+    for k in [*range(4, 200), 383, 384, 385, 1000, 3001]:
+        m = (k - 1) // 3
+        least = 3 + (m - 1).bit_length()
+        with pytest.raises(WidthTooSmall):
+            gen_triplets(k, least - 1)
+        for width in (least, least + 1, least + 2, 64, MAX_WIDTH):
+            p = gen_triplets(k, width)
+            assert p.k == k and sum(p.weights) == 1 << width and min(p.weights) >= 1
+
+
 def test_gen_triplets_bound_sample():
     for k in (4, 7, 13, 22, 30):
         for w in (8, 12):

@@ -35,21 +35,22 @@ def rw(p, n: int):
     a float p float arithmetic.  Exact calls are limited to
     n <= RW_EXACT_MAX_STEPS and n * bit_length(denominator(p)) <= RW_EXACT_MAX_BITS.
     """
-    if not 0 <= 2 * p <= 1:
-        raise BadProbability(f"need 0 <= 2p <= 1, got p={p}")
-    if n < 0:
-        raise BadProbability(f"negative step count {n}")
     exact = isinstance(p, numbers.Rational)
-    if exact:
-        if n > RW_EXACT_MAX_STEPS or n * p.denominator.bit_length() > RW_EXACT_MAX_BITS:
-            raise InstanceTooLarge(
-                f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
-                f"<= {RW_EXACT_MAX_BITS}, got n={n}, a {p.denominator.bit_length()}-bit denominator"
-            )
     # p = a/b: after t steps every probability is an integer over b**t,
     # reached with integer weights a (each move) and b - 2a (stay); a float
     # p runs the same steps with b = 1, in the order p*x + (1-2p)*y + p*z
     a, b = (p.numerator, p.denominator) if exact else (p, 1)
+    if not 0 <= 2 * p <= 1:  # a huge p's digits would pass int-to-str's 4300-digit limit
+        raise BadProbability("need 0 <= 2p <= 1, got " + (
+            f"p with a {a.bit_length()}-bit numerator and a {b.bit_length()}-bit denominator"
+            if exact and max(abs(a), b).bit_length() > 64 else f"p={p}"))
+    if n < 0:
+        raise BadProbability(f"negative step count {n}")
+    if exact and (n > RW_EXACT_MAX_STEPS or n * b.bit_length() > RW_EXACT_MAX_BITS):
+        raise InstanceTooLarge(
+            f"exact rw needs n <= {RW_EXACT_MAX_STEPS} and n * bit_length(denominator) "
+            f"<= {RW_EXACT_MAX_BITS}, got n={n}, a {b.bit_length()}-bit denominator"
+        )
     stay = b - 2 * a
     ways = [a * 0 + 1]  # ways[i]: displacement i - t after t steps, times b**t
     for _ in range(n):

@@ -47,7 +47,7 @@ def cmd_compile(args) -> str:
     lines = [f"{text(start, lvl, width)} {t}" for start, lvl, t in rows]
     lines.append(f"# lambda={len(rows)} lpm_lower={lo} lpm_upper={hi}")
     if args.emit_sequence:
-        lines += [f"# tx {src} {size} {dst}" for src, dst, size in moves]
+        lines += ["# tx " + tx for tx in core.sequence_to_text(moves).splitlines()]
     return "\n".join(lines)
 
 
@@ -82,18 +82,29 @@ def cmd_verify(args) -> str:
     return "\n".join(lines)
 
 
+def _given(args, option: str, choice: str):
+    if getattr(args, option) is None:
+        raise TcamSplitError(f"--{option} is required for --{choice} {getattr(args, choice)}")
+    return getattr(args, option)
+
+
+MATCHERS = {  # --matcher choice -> (args, partition) -> sequence
+    "bm": lambda a, p: matcher.bit_matcher(p),
+    "rm": lambda a, p: matcher.random_matcher(p, random.Random(_given(a, "seed", "matcher"))),
+    "sm": lambda a, p: matcher.signed_matcher(p),
+    "anchor": lambda a, p: matcher.anchor_sequence(p),
+}
+
+WORSTCASE_KINDS = {  # --kind choice -> args -> partition
+    "k2": lambda a: worstcase.gen_k2(a.width),
+    "k3": lambda a: worstcase.gen_k3(a.width),
+    "triplets": lambda a: worstcase.gen_triplets(_given(a, "k", "kind"), a.width),
+    "general": lambda a: worstcase.gen_general_hard(_given(a, "k", "kind"), a.width),
+}
+
+
 def cmd_sequence(args) -> str:
-    p = core.partition_from_text(args.weights, args.width)
-    if args.matcher == "bm":
-        seq = matcher.bit_matcher(p)
-    elif args.matcher == "sm":
-        seq = matcher.signed_matcher(p)
-    elif args.matcher == "anchor":
-        seq = matcher.anchor_sequence(p)
-    else:
-        if args.seed is None:
-            raise TcamSplitError("--seed is required for the random matcher")
-        seq = matcher.random_matcher(p, random.Random(args.seed))
+    seq = MATCHERS[args.matcher](args, core.partition_from_text(args.weights, args.width))
     if args.format == "json":
         return json.dumps(core.sequence_to_json_obj(seq))
     return core.sequence_to_text(seq)
@@ -107,16 +118,7 @@ def cmd_sample(args) -> str:
 
 
 def cmd_worstcase(args) -> str:
-    if args.kind == "k2":
-        p = worstcase.gen_k2(args.width)
-    elif args.kind == "k3":
-        p = worstcase.gen_k3(args.width)
-    elif args.k is None:
-        raise TcamSplitError(f"--k is required for --kind {args.kind}")
-    elif args.kind == "triplets":
-        p = worstcase.gen_triplets(args.k, args.width)
-    else:
-        p = worstcase.gen_general_hard(args.k, args.width)
+    p = WORSTCASE_KINDS[args.kind](args)
     lam = matcher.min_rules(p)
     if args.format == "json":
         return json.dumps({"width": p.width, "weights": list(p.weights), "lambda": lam})
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sequence", help="emit a zeroing transaction sequence")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--width", type=int, default=None)
-    sp.add_argument("--matcher", choices=("bm", "rm", "sm", "anchor"), default="bm")
+    sp.add_argument("--matcher", choices=MATCHERS, default="bm")
     sp.add_argument("--seed", type=int, default=None)
     common(sp, "json")
     sp.set_defaults(func=cmd_sequence)
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("worstcase", help="extremal partition generators")
-    sp.add_argument("--kind", choices=("k2", "k3", "triplets", "general"), required=True)
+    sp.add_argument("--kind", choices=WORSTCASE_KINDS, required=True)
     sp.add_argument("--width", type=int, required=True)
     sp.add_argument("--k", type=int, default=None)
     common(sp, "json")

@@ -105,11 +105,7 @@ def validate_sequence(p: Partition, s: tuple[Transaction, ...]) -> ValidationRep
     A (src, dst, size) move with src == dst, size <= 0 or a target outside
     0..k raises IndexOutOfRange."""
     values = [-(1 << p.width), *p.weights]
-    nonneg = True
-    monotone = True
-    pow2 = all(size & (size - 1) == 0 for _, _, size in s)
-    zero_terminal = True
-    prev_size = 0
+    nonneg = monotone = pow2 = zero_terminal = True
     for idx, (src, dst, size) in enumerate(s):
         if src == dst or size <= 0:
             raise IndexOutOfRange(f"move {src, dst, size} has src == dst or a size below 1")
@@ -117,11 +113,12 @@ def validate_sequence(p: Partition, s: tuple[Transaction, ...]) -> ValidationRep
             raise IndexOutOfRange(f"move {src, dst, size} targets outside 0..{p.k}")
         values[src] -= size
         values[dst] += size
-        if any(v < 0 for v in values[1:]):
+        if src and values[src] < 0:  # only the source falls, and every part starts above 0
             nonneg = False
-        if size < prev_size:
+        if idx and size < s[idx - 1][2]:
             monotone = False
-        prev_size = size
+        if size & (size - 1):
+            pow2 = False
         if (src == 0 or dst == 0) and idx != len(s) - 1:
             zero_terminal = False
     return ValidationReport(

@@ -37,10 +37,17 @@ def test_rw_small_cases():
 
 
 def test_rw_rejects():
-    with pytest.raises(BadProbability):
+    with pytest.raises(BadProbability, match=r"got p=0\.7$"):
         rw(0.7, 3)
-    with pytest.raises(BadProbability):
+    with pytest.raises(BadProbability, match=r"got p=-0\.1$"):
         rw(-0.1, 3)
+    with pytest.raises(BadProbability, match="got p=2/3$"):
+        rw(Fraction(2, 3), 3)
+    # printing 10**9999's digits failed int-to-str conversion's 4300-digit limit
+    with pytest.raises(BadProbability, match="got p with a 33216-bit numerator and a 1-bit denominator$"):
+        rw(10**9999, 3)
+    with pytest.raises(BadProbability, match="got p with a 1-bit numerator and a 33216-bit denominator$"):
+        rw(Fraction(-1, 10**9999), 3)
 
 
 def test_rw_exact_cap():

@@ -29,6 +29,146 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# the weights printed by worstcase --kind general --k 12 --width 100
+GENERAL_K12_W100 = ",".join(
+    ["52818775009509558395695966891", "105637550019019116791391933781"] * 4
+    + ["132046937523773895989239917227", "184865712533283454384935884117"] * 2
+)
+TABLE_512 = "010 2\n00* 3\n*** 1\n# lambda=3 lpm_lower=3 lpm_upper=3"
+JSON_512 = {
+    "width": 3,
+    "rules": [
+        {"pattern": "010", "target": 2},
+        {"pattern": "00*", "target": 3},
+        {"pattern": "***", "target": 1},
+    ],
+    "lambda": 3,
+    "lpm_lower": 3,
+    "lpm_upper": 3,
+}
+SEQUENCE_512 = "2 1 1\n3 2 1\n1 8 0"
+SEQUENCE_512_JSON = (
+    '[{"src": 2, "level": 0, "size": 1, "dst": 1}, {"src": 3, "level": 1, "size": 2, "dst": 1}, '
+    '{"src": 1, "level": 3, "size": 8, "dst": 0}]'
+)
+
+# Every byte-pinned CLI output, id -> (argv, stdin, stdout less its final
+# newline).  " | " in argv pipes each command's stdout into the next one's stdin.
+PINS = {
+    # README's example
+    "compile": ("compile --weights 5,1,2 --width 3", "", TABLE_512),
+    "compile-emit-sequence": (
+        "compile --weights 5,1,2 --emit-sequence", "",
+        TABLE_512 + "\n# tx 2 1 1\n# tx 3 2 1\n# tx 1 8 0",
+    ),
+    # bit_matcher's level order: at level 0 weight 1 has no bits above it and
+    # 5 a 0 next; 3,3,1,1 tie in pairs, so the lower index donates
+    "compile-1,5,2,8": (
+        "compile --weights 1,5,2,8 --width 4", "",
+        "0010 1\n000* 3\n0*** 2\n**** 4\n# lambda=4 lpm_lower=3 lpm_upper=4",
+    ),
+    "compile-3,3,1,1,8-emit-sequence": (
+        "compile --weights 3,3,1,1,8 --width 4 --emit-sequence", "",
+        "0000 3\n0100 4\n00** 1\n0*** 2\n**** 5\n# lambda=5 lpm_lower=4 lpm_upper=6\n"
+        "# tx 3 1 1\n# tx 4 1 2\n# tx 1 4 2\n# tx 2 8 5\n# tx 5 16 0",
+    ),
+    "compile-json": ("compile --weights 5,1,2 --format json", "", json.dumps(JSON_512, indent=2)),
+    "compile-json-emit-sequence": (
+        "compile --weights 5,1,2 --width 3 --emit-sequence --format json", "",
+        json.dumps({**JSON_512, "sequence": json.loads(SEQUENCE_512_JSON)}, indent=2),
+    ),
+    # compile's tables read back through verify's checked reader
+    "compile-verify-341,683": (
+        "compile --weights 341,683 --width 10 | verify --rules - --format csv", "", "341,683",
+    ),
+    "worstcase-general-k12-w100": (
+        "worstcase --kind general --k 12 --width 100", "", GENERAL_K12_W100 + " lambda=300",
+    ),
+    "compile-verify-general-k12-w100": (
+        f"compile --weights {GENERAL_K12_W100} --width 100 | verify --rules - --format csv", "",
+        GENERAL_K12_W100,
+    ),
+    # a width-0 table's lines are the target alone, read back with --width 0
+    "compile-verify-width-0": (
+        "compile --weights 1 --width 0 | verify --rules - --width 0 --format csv", "", "1",
+    ),
+    "sequence-bm": ("sequence --weights 5,1,2 --width 3 --matcher bm", "", SEQUENCE_512),
+    "sequence-anchor": ("sequence --weights 5,1,2 --width 3 --matcher anchor", "", SEQUENCE_512),
+    "sequence-bm-json": (
+        "sequence --weights 5,1,2 --width 3 --matcher bm --format json", "", SEQUENCE_512_JSON,
+    ),
+    "sequence-anchor-json": (
+        "sequence --weights 5,1,2 --width 3 --matcher anchor --format json", "", SEQUENCE_512_JSON,
+    ),
+    "sequence-sm": ("sequence --weights 5,1,2 --width 3 --matcher sm", "", "1 1 0\n2 1 0\n3 2 0\n1 4 0"),
+    "sequence-sm-json": (
+        "sequence --weights 5,1,2 --width 3 --matcher sm --format json", "",
+        '[{"src": 1, "level": 0, "size": 1, "dst": 0}, {"src": 2, "level": 0, "size": 1, "dst": 0}, '
+        '{"src": 3, "level": 1, "size": 2, "dst": 0}, {"src": 1, "level": 2, "size": 4, "dst": 0}]',
+    ),
+    # -1 digits (3 = 4 - 1, 7 = 8 - 1, 9 = 8 + 1) and digits at level W (7 at W=3)
+    "sequence-sm-3,5,7,9,8": (
+        "sequence --weights 3,5,7,9,8 --width 5 --matcher sm", "",
+        "2 1 1\n4 1 3\n1 4 0\n2 4 0\n3 8 0\n4 8 0\n5 8 0",
+    ),
+    "sequence-anchor-3,5,7,9,8": (
+        "sequence --weights 3,5,7,9,8 --width 5 --matcher anchor", "",
+        "2 1 1\n1 1 3\n4 1 1\n2 4 1\n3 8 1\n4 8 1\n5 8 1\n1 32 0",
+    ),
+    "sequence-sm-7,1": ("sequence --weights 7,1 --width 3 --matcher sm", "", "2 1 1\n1 8 0"),
+    "sequence-anchor-7,1": ("sequence --weights 7,1 --width 3 --matcher anchor", "", "2 1 1\n1 8 0"),
+    # a seeded random_matcher: its moves differ from bm's
+    "sequence-rm-seed-2": (
+        "sequence --weights 3,5,7,9,8 --width 5 --matcher rm --seed 2", "",
+        "2 1 3\n4 1 1\n2 4 1\n1 8 5\n3 8 4\n4 16 5\n5 32 0",
+    ),
+    "bounds": (
+        "bounds --weights 5,1,2 --width 3", "",
+        "trivial_lower=3\nlpm_lower=3\nlpm_upper=3\ngeneral_lower=3\n"
+        "worstcase_cap=6\nlambda=3\nphi_total=4\nphi_max=2",
+    ),
+    "bounds-json": (
+        "bounds --weights 5,1,2 --width 3 --format json", "",
+        '{"trivial_lower": 3, "lpm_lower": 3, "lpm_upper": 3, "general_lower": 3, '
+        '"worstcase_cap": 6, "lambda": 3, "phi_total": 4, "phi_max": 2}',
+    ),
+    # one part: no worst-case cap, and the general lower bound is 1
+    "bounds-one-part": (
+        "bounds --weights 8 --width 3", "",
+        "trivial_lower=1\nlpm_lower=1\nlpm_upper=1\ngeneral_lower=1\n"
+        "worstcase_cap=None\nlambda=1\nphi_total=1\nphi_max=1",
+    ),
+    "bounds-one-part-json": (
+        "bounds --weights 8 --width 3 --format json", "",
+        '{"trivial_lower": 1, "lpm_lower": 1, "lpm_upper": 1, "general_lower": 1, '
+        '"worstcase_cap": null, "lambda": 1, "phi_total": 1, "phi_max": 1}',
+    ),
+    "bounds-json-683,341": (
+        "bounds --weights 683,341 --width 10 --format json", "",
+        '{"trivial_lower": 2, "lpm_lower": 6, "lpm_upper": 6, "general_lower": 4, '
+        '"worstcase_cap": 7, "lambda": 6, "phi_total": 11, "phi_max": 6}',
+    ),
+    "sample-k3-w100": (
+        "sample --k 3 --width 100 --trials 50 --seed 7", "",
+        "k,W,trials,mean_lambda_per_kw,se,mean_lb_ratio,mean_ub_ratio\n"
+        "3,100,50,0.189733,0.001288,0.901755,1.159459",
+    ),
+    "normalize-json-stdin": (
+        "normalize --counts - --format json", "3\n1\n", '{"width": 8, "weights": [192, 64]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, out", PINS.values(), ids=list(PINS))
+def test_pinned_output(capsys, monkeypatch, argv, stdin, out):
+    code, text, err = 0, stdin, ""
+    for command in argv.split(" | "):
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, text, err = run_cli(capsys, *command.split())
+    assert (code, text, err) == (0, out + "\n", "")
+
+
 def test_compile_trivial(capsys):
     code, out, _ = run_cli(capsys, "compile", "--weights", "8", "--width", "3")
     assert code == 0
@@ -54,39 +194,6 @@ def test_compile_json_and_sequence(capsys):
     obj = json.loads(out)
     assert obj["lambda"] == 3 and len(obj["rules"]) == 3
     assert obj["sequence"][-1] == {"src": 1, "level": 3, "size": 8, "dst": 0}
-
-
-def test_compile_json_bytes(capsys):
-    table = {
-        "width": 3,
-        "rules": [
-            {"pattern": "010", "target": 2},
-            {"pattern": "00*", "target": 3},
-            {"pattern": "***", "target": 1},
-        ],
-        "lambda": 3,
-        "lpm_lower": 3,
-        "lpm_upper": 3,
-    }
-    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2", "--format", "json")
-    assert code == 0 and out == json.dumps(table, indent=2) + "\n"
-    table["sequence"] = [
-        {"src": 2, "level": 0, "size": 1, "dst": 1},
-        {"src": 3, "level": 1, "size": 2, "dst": 1},
-        {"src": 1, "level": 3, "size": 8, "dst": 0},
-    ]
-    code, out, _ = run_cli(
-        capsys, "compile", "--weights", "5,1,2", "--format", "json", "--emit-sequence"
-    )
-    assert code == 0 and out == json.dumps(table, indent=2) + "\n"
-
-
-def test_compile_text_bytes(capsys):
-    text = "010 2\n00* 3\n*** 1\n# lambda=3 lpm_lower=3 lpm_upper=3\n"
-    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2")
-    assert code == 0 and out == text
-    code, out, _ = run_cli(capsys, "compile", "--weights", "5,1,2", "--emit-sequence")
-    assert code == 0 and out == text + "# tx 2 1 1\n# tx 3 2 1\n# tx 1 8 0\n"
 
 
 @st.composite
@@ -169,41 +276,6 @@ def test_bounds(capsys):
     assert fields["lpm_lower"] == fields["lpm_upper"] == fields["lambda"] == "1"
 
 
-def test_bounds_json_k2_bytes(capsys):
-    obj = (
-        '{"trivial_lower": 2, "lpm_lower": 6, "lpm_upper": 6, "general_lower": 4, '
-        '"worstcase_cap": 7, "lambda": 6, "phi_total": 11, "phi_max": 6}\n'
-    )
-    argv = ("bounds", "--weights", "683,341", "--width", "10", "--format", "json")
-    assert run_cli(capsys, *argv) == (0, obj, "")
-
-
-def test_bounds_output_bytes(capsys):
-    text = (
-        "trivial_lower=3\nlpm_lower=3\nlpm_upper=3\ngeneral_lower=3\n"
-        "worstcase_cap=6\nlambda=3\nphi_total=4\nphi_max=2\n"
-    )
-    assert run_cli(capsys, "bounds", "--weights", "5,1,2", "--width", "3") == (0, text, "")
-    obj = (
-        '{"trivial_lower": 3, "lpm_lower": 3, "lpm_upper": 3, "general_lower": 3, '
-        '"worstcase_cap": 6, "lambda": 3, "phi_total": 4, "phi_max": 2}\n'
-    )
-    argv = ("bounds", "--weights", "5,1,2", "--width", "3", "--format", "json")
-    assert run_cli(capsys, *argv) == (0, obj, "")
-    # one part: no worst-case cap, and the general lower bound is 1
-    text = (
-        "trivial_lower=1\nlpm_lower=1\nlpm_upper=1\ngeneral_lower=1\n"
-        "worstcase_cap=None\nlambda=1\nphi_total=1\nphi_max=1\n"
-    )
-    assert run_cli(capsys, "bounds", "--weights", "8", "--width", "3") == (0, text, "")
-    obj = (
-        '{"trivial_lower": 1, "lpm_lower": 1, "lpm_upper": 1, "general_lower": 1, '
-        '"worstcase_cap": null, "lambda": 1, "phi_total": 1, "phi_max": 1}\n'
-    )
-    argv = ("bounds", "--weights", "8", "--width", "3", "--format", "json")
-    assert run_cli(capsys, *argv) == (0, obj, "")
-
-
 def test_verify(capsys, tmp_path):
     f = tmp_path / "rules.txt"
     f.write_text(REMARK3_W10)
@@ -284,24 +356,6 @@ def test_sequence_command(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "argv, out",
-    [
-        # -1 digits (3 = 4 - 1, 7 = 8 - 1, 9 = 8 + 1) and digits at level W (7 at W=3)
-        ("--weights 3,5,7,9,8 --width 5 --matcher sm", "2 1 1|4 1 3|1 4 0|2 4 0|3 8 0|4 8 0|5 8 0"),
-        ("--weights 3,5,7,9,8 --width 5 --matcher anchor", "2 1 1|1 1 3|4 1 1|2 4 1|3 8 1|4 8 1|5 8 1|1 32 0"),
-        ("--weights 7,1 --width 3 --matcher sm", "2 1 1|1 8 0"),
-        ("--weights 7,1 --width 3 --matcher anchor", "2 1 1|1 8 0"),
-        # a seeded random_matcher: its moves differ from bm's
-        ("--weights 3,5,7,9,8 --width 5 --matcher rm --seed 2", "2 1 3|4 1 1|2 4 1|1 8 5|3 8 4|4 16 5|5 32 0"),
-    ],
-    ids=["sm", "anchor", "sm-7-1", "anchor-7-1", "rm-seed-2"],
-)
-def test_sequence_output_bytes(capsys, argv, out):
-    want = out.replace("|", "\n") + "\n"
-    assert run_cli(capsys, "sequence", *argv.split()) == (0, want, "")
-
-
 @pytest.mark.parametrize("weights", ["1,,1", "1,1,", ",2", ""])
 @pytest.mark.parametrize("cmd", ["bounds", "sequence", "compile"])
 def test_empty_weight_field_exit_1(capsys, cmd, weights):
@@ -333,8 +387,20 @@ def test_rw_command(capsys):
     assert code == 0 and out.strip() == "0"
     code, out, _ = run_cli(capsys, "rw", "--p", "1/6", "--n", "1")
     assert out.strip() == "1/3"
-    code, _, err = run_cli(capsys, "rw", "--p", "2/3", "--n", "1")
-    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "p, got",
+    [("2/3", "p=2/3"),
+     ("1e9999", "p with a 33216-bit numerator and a 1-bit denominator"),
+     ("-1e-9999", "p with a 1-bit numerator and a 33216-bit denominator")],
+    ids=["2/3", "1e9999", "-1e-9999"],
+)
+def test_rw_p_out_of_range_names_value_or_bit_lengths(capsys, p, got):
+    # 1e9999 passes the exponent guard; printing all of its digits failed
+    # int-to-str conversion's 4300-digit limit
+    err = f"error: need 0 <= 2p <= 1, got {got}\n"
+    assert run_cli(capsys, "rw", f"--p={p}", "--n", "1") == (1, "", err)
 
 
 def test_game_command(capsys):
@@ -382,8 +448,6 @@ def test_sample_command(capsys):
     assert row.startswith("3,16,50,")
     argv = ("sample", "--k", "3", "--width", "16", "--trials", "50", "--seed", "7")
     assert run_cli(capsys, *argv, "--format", "csv") == (0, out, "")
-    code, out, _ = run_cli(capsys, "sample", "--k", "3", "--width", "100", "--trials", "50", "--seed", "7")
-    assert (code, out.splitlines()[1]) == (0, "3,100,50,0.189733,0.001288,0.901755,1.159459")
     # a width outside 0..128 used to fail untyped ("negative shift count") or run
     code, out, err = run_cli(capsys, "sample", "--k", "3", "--width", "-1", "--trials", "1", "--seed", "7")
     assert code == 1 and out == "" and err == "error: width -1 outside 0..128\n"
@@ -440,12 +504,6 @@ def test_normalize_rejects(capsys, tmp_path, counts, multiple):
     f.write_text(counts)
     code, out, err = run_cli(capsys, "normalize", "--counts", str(f), "--multiple", multiple)
     assert code == 1 and out == "" and err.startswith("error:")
-
-
-def test_normalize_json_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("3\n1\n"))
-    out = '{"width": 8, "weights": [192, 64]}\n'
-    assert run_cli(capsys, "normalize", "--counts", "-", "--format", "json") == (0, out, "")
 
 
 def test_normalize_zero_count_names_line(capsys, tmp_path):

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcamsplit import core
@@ -12,6 +12,7 @@ from tcamsplit.core import (
     MAX_WIDTH,
     Partition,
     Transaction,
+    ValidationReport,
     new_partition,
     sample_partition,
     validate_sequence,
@@ -150,6 +151,42 @@ def test_validate_sequence_flags():
     assert rep.zeroes and not rep.zero_target_terminal_only
     rep = validate_sequence(p2, seq((1, 4, 2), (2, 8, 0), (1, 1, 2), (2, 1, 1)))
     assert not rep.sizes_monotone and not rep.nonnegative
+
+
+def _validate_by_rescan(p, s):
+    """validate_sequence's report by rescanning every x_1..x_k after each move."""
+    values = [-(1 << p.width), *p.weights]
+    nonneg = True
+    for src, dst, size in s:
+        values[src] -= size
+        values[dst] += size
+        nonneg = nonneg and all(v >= 0 for v in values[1:])
+    return ValidationReport(
+        zeroes=not any(values),
+        nonnegative=nonneg,
+        sizes_monotone=all(a[2] <= b[2] for a, b in zip(s, s[1:])),
+        power_of_two_sizes=all(size & (size - 1) == 0 for _, _, size in s),
+        zero_target_terminal_only=all(0 not in (src, dst) for src, dst, _ in s[:-1]),
+        final=tuple(values),
+    )
+
+
+@st.composite
+def partitions_and_moves(draw):
+    width = draw(st.integers(0, 4))
+    k = draw(st.integers(1, min(5, 1 << width)))
+    p = sample_partition(k, width, random.Random(draw(st.integers(0, 99))))
+    move = st.tuples(st.integers(0, k), st.integers(0, k), st.integers(1, 2 << width))
+    return p, tuple(draw(st.lists(move.filter(lambda m: m[0] != m[1]), max_size=12)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partitions_and_moves())
+# x_1 dips to -2 and recovers, and x_0 (never checked) goes further below 0
+@example((new_partition([4, 4], 3), ((1, 2, 6), (2, 1, 4), (0, 2, 2))))
+def test_validate_sequence_matches_full_rescan(case):
+    p, s = case
+    assert validate_sequence(p, s) == _validate_by_rescan(p, s)
 
 
 def test_sum_conservation_random_sequences():

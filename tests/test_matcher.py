@@ -16,7 +16,14 @@ from tcamsplit.core import (
     sample_partition,
     validate_sequence,
 )
-from tcamsplit.errors import BadOracleInput, BadSum, InstanceTooLarge, TcamSplitError, ZeroWeight
+from tcamsplit.errors import (
+    BadOracleInput,
+    BadSum,
+    InstanceTooLarge,
+    InternalInvariantViolated,
+    TcamSplitError,
+    ZeroWeight,
+)
 from tcamsplit.matcher import (
     anchor_sequence,
     bit_matcher,
@@ -35,6 +42,28 @@ def test_bit_matcher_lengths():
     assert min_rules(new_partition([683, 341], 10)) == 6
     assert min_rules(new_partition([1 << 20], 20)) == 1
     assert min_rules(new_partition([5, 5, 6], 4)) == 5
+
+
+def _unchecked_partition(weights, width):
+    """A Partition past __post_init__'s checks, which refuse every input below."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "weights", weights)
+    object.__setattr__(p, "width", width)
+    return p
+
+
+@pytest.mark.parametrize(
+    "weights, width, fns, message",
+    [((3, 2), 3, (min_rules, bit_matcher), "odd active set at level 0"),
+     ((8, 8), 3, (min_rules, bit_matcher), "matcher did not converge to 2\\*\\*width"),
+     ((12,), 3, (signed_matcher,), "NAF digit at level 4 above width 3")],  # 12 = 16 - 4
+    ids=["odd-active-set", "no-convergence", "naf-digit-above-width"],
+)
+def test_invariant_violations_raise(weights, width, fns, message):
+    p = _unchecked_partition(weights, width)
+    for fn in fns:
+        with pytest.raises(InternalInvariantViolated, match=f"^{message}$"):
+            fn(p)
 
 
 def test_bit_matcher_output_is_clean():

@@ -34,7 +34,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_compile(args) -> str:
     p = core.partition_from_text(args.weights, args.width)
-    moves = tcam.bit_matcher(p)  # matcher._bit_moves, as synthesize_lpm reads it
+    moves = matcher.bit_matcher(p)
     width, rows = tcam._prefix_rows(moves)
     text = tcam.prefix_text
     lo, hi = signed.lpm_bounds(p)
@@ -134,9 +134,9 @@ def cmd_normalize(args) -> str:
 
 
 def cmd_rw(args) -> str:
-    # Fraction("1e-999999999") alone would build a billion-digit integer
-    if re.search(r"[eE][-+]?\d{5}", args.p):
-        raise BadProbability(f"exponent in --p {args.p!r} has more than 4 digits")
+    # CPython's int() reads at most 4300 digits, and Fraction("1e-999999999") would build 10**10**9
+    if re.search(r"\d{4301}|[eE][-+]?\d{5}", args.p.replace("_", "")):
+        raise BadProbability("--p needs numbers of at most 4300 digits and exponents of at most 4")
     try:
         p = Fraction(args.p)
     except ZeroDivisionError:
@@ -238,7 +238,8 @@ def main(argv=None) -> int:
             raise ValueError("an option is missing its value")
         _emit(args.func(args), args.out)
     except (TcamSplitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = str(exc)  # it may quote an input of any length: keep 60 characters of each end
+        print("error:", msg if len(msg) <= 123 else f"{msg[:60]}...{msg[-60:]}", file=sys.stderr)
         return 1
     return 0
 

@@ -61,8 +61,9 @@ class Partition:
 
 
 def new_partition(weights, width: int) -> Partition:
-    """Build a Partition from int-convertible weights."""
-    return Partition(tuple(int(w) for w in weights), width)
+    """Build a Partition from weights that int() leaves equal, such as 4.0 or True;
+    any other weight, such as 3.2, is passed on as it is, for Partition to refuse."""
+    return Partition(tuple(int(w) if int(w) == w else w for w in weights), width)
 
 
 class Transaction(NamedTuple):
@@ -173,17 +174,21 @@ def parse_lines(text: str, parse) -> list:
 
 def partition_from_text(text: str, width: int | None = None) -> Partition:
     """Comma-separated weights; an empty field (as in "1,,1" or "1,1,") is
-    refused with ZeroWeight rather than skipped."""
+    refused with ZeroWeight rather than skipped, and one of over 39 digits with WidthOverflow."""
     toks = text.replace(" ", "").split(",")
     if "" in toks:
         raise ZeroWeight(f"empty field {toks.index('') + 1} in the weight list")
+    if max(map(len, toks)) > 39:  # 2**128 has 39 digits; CPython's int() reads at most 4300
+        for i, tok in enumerate(toks, 1):
+            if (digits := len(tok.lstrip("+-").lstrip("0"))) > 39:
+                raise WidthOverflow(f"weight field {i} has {digits} digits, 2**128 has 39")
     ws = tuple(map(int, toks))
     if width is None:
         total = sum(ws)
         if total <= 0 or total & (total - 1):
             raise BadSum(f"sum {total} is not a power of two")
         width = total.bit_length() - 1
-    return new_partition(ws, width)
+    return Partition(ws, width)
 
 
 def partition_to_json(p: Partition) -> str:

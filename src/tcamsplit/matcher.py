@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, zip_longest
 from operator import itemgetter
 
-from .core import Partition, Transaction
+from .core import Partition
 from .errors import BadOracleInput, InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
 
@@ -80,8 +80,8 @@ def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int
     return lam, moves
 
 
-def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
-    """Optimal zeroing sequence as plain (src, dst, size) moves.
+def bit_matcher(p: Partition) -> tuple[tuple[int, int, int], ...]:
+    """Optimal zeroing sequence of (src, dst, size) moves.
 
     Per level d: the active indices are split into halves by
     bit-lexicographic order; each of the smaller half donates 2**d to its
@@ -98,12 +98,7 @@ def _bit_moves(p: Partition) -> list[tuple[int, int, int]]:
         half = len(act) // 2
         return zip(act[:half], act[half:])
 
-    return _level_loop(p, halves)[1]
-
-
-def bit_matcher(p: Partition) -> tuple[Transaction, ...]:
-    """Optimal zeroing sequence: _bit_moves as Transactions."""
-    return tuple(map(Transaction._make, _bit_moves(p)))
+    return tuple(_level_loop(p, halves)[1])
 
 
 def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
@@ -118,7 +113,7 @@ def min_rules(p: Partition) -> int:
     return _level_loop(p)[0]
 
 
-def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
+def random_matcher(p: Partition, rng: random.Random) -> tuple[tuple[int, int, int], ...]:
     """Uniform random pairing per level; direction decided by bit d+1."""
     ws = p.weights
 
@@ -128,7 +123,7 @@ def random_matcher(p: Partition, rng: random.Random) -> tuple[Transaction, ...]:
             bi, bj = ws[i] >> (d + 1) & 1, ws[j] >> (d + 1) & 1
             yield (j, i) if bi > bj or (bi == bj and rng.getrandbits(1)) else (i, j)
 
-    return tuple(map(Transaction._make, _level_loop(p, shuffled)[1]))
+    return tuple(_level_loop(p, shuffled)[1])
 
 
 def _digits(p: Partition) -> list[tuple[int, int, int]]:
@@ -149,26 +144,24 @@ def _digits(p: Partition) -> list[tuple[int, int, int]]:
     return digits
 
 
-def signed_matcher(p: Partition) -> tuple[Transaction, ...]:
+def signed_matcher(p: Partition) -> tuple[tuple[int, int, int], ...]:
     """Pair +1 digits against -1 digits of the live weights, level by level.
 
     Unpaired digits are settled against target 0, so the unallocated pool
     may be touched mid-sequence.  Level width holds the final full blocks.
     """
-    txs: list[Transaction] = []
+    txs = []
     for d, level in groupby(sorted(_digits(p)), key=itemgetter(0)):
         if d > p.width:
             raise InternalInvariantViolated(f"NAF digit at level {d} above width {p.width}")
         plus, minus, size = [], [], 1 << d
         for _, i, sign in level:
             (plus if sign > 0 else minus).append(i)
-        txs += [Transaction(i, j, size) for i, j in zip(plus, minus)]
-        txs += [Transaction(i, 0, size) for i in plus[len(minus):]]
-        txs += [Transaction(0, j, size) for j in minus[len(plus):]]
+        txs += [(i, j, size) for i, j in zip_longest(plus, minus, fillvalue=0)]
     return tuple(txs)
 
 
-def anchor_sequence(p: Partition) -> tuple[Transaction, ...]:
+def anchor_sequence(p: Partition) -> tuple[tuple[int, int, int], ...]:
     """Sequence of length phi_total + 1 - phi_max settling every non-anchor
     digit directly against the part with the most non-zero digits.
 
@@ -178,7 +171,7 @@ def anchor_sequence(p: Partition) -> tuple[Transaction, ...]:
     counts = [1] + [naf_count(w) for w in p.weights]
     anchor = max(range(p.k + 1), key=lambda i: (counts[i], -i))
     return tuple(
-        Transaction(i, anchor, 1 << lvl) if sign > 0 else Transaction(anchor, i, 1 << lvl)
+        (i, anchor, 1 << lvl) if sign > 0 else (anchor, i, 1 << lvl)
         for lvl, i, sign in sorted([(p.width, 0, -1), *_digits(p)])
         if i != anchor
     )

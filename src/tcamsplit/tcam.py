@@ -17,8 +17,7 @@ from .errors import (
     WidthMismatch,
     WidthOverflow,
 )
-# the plain moves, bound to the name perfbench/tracing.py wraps; compile reads it too
-from .matcher import _bit_moves as bit_matcher
+from .matcher import bit_matcher
 
 _IE_RULE_LIMIT = 20
 _BITSET_WIDTH_LIMIT = 24
@@ -40,21 +39,6 @@ class TernaryPattern(NamedTuple):
     @property
     def count(self) -> int:
         return 1 << (self.width - self.care.bit_count())
-
-    def is_prefix(self) -> bool:
-        low = ((1 << self.width) - 1) ^ self.care
-        return low & (low + 1) == 0
-
-    @property
-    def prefix_len(self) -> int:
-        self.interval()  # raises ValueError unless a prefix
-        return self.care.bit_count()
-
-    def interval(self) -> tuple[int, int]:
-        """[lo, hi) address range; prefix patterns only."""
-        if not self.is_prefix():
-            raise ValueError(f"pattern {self} is not a prefix")
-        return self.value, self.value + self.count
 
     def __str__(self) -> str:
         width, value = self.width, self.value
@@ -115,7 +99,7 @@ class RuleTable:
             fits = pat.width == width and 0 <= care < end and care | pat.value == care
             if fits and r.target >= 0:
                 continue  # one test per rule; a rule that fails it is diagnosed below
-            # a stray bit would paint an interval past the address space
+            # a stray bit would paint past the address space
             if pat.width != width or (pat.care | pat.value) >> width:
                 raise WidthMismatch(f"rule {i}: pattern does not fit table width {width}")
             if pat.value & ~pat.care:
@@ -130,9 +114,6 @@ class RuleTable:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def is_prefix_table(self) -> bool:
-        return all(r.pattern.is_prefix() for r in self.rules)
 
     def lookup(self, addr: int) -> int:
         for r in self.rules:

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from naf_reference import to_naf
+from support import all_partitions, prefix_span
 from tcamsplit.analysis import c_of_k, p_levels, play_game, run_experiment
 from tcamsplit.core import new_partition, sample_partition, validate_sequence
 from tcamsplit.matcher import anchor_sequence, bit_matcher, meet_distances, min_rules
@@ -30,25 +31,6 @@ SEED = 20240817
 def report(name, ok):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, name
-
-
-def all_partitions(width, kmax):
-    """Every multiset partition of 2**width into at most kmax positive parts."""
-    out = []
-
-    def rec(rem, maxpart, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        if len(cur) == kmax:
-            return
-        for part in range(min(rem, maxpart), 0, -1):
-            cur.append(part)
-            rec(rem - part, part, cur)
-            cur.pop()
-
-    rec(1 << width, 1 << width, [])
-    return out
 
 
 def test_criterion_1_paper_exact_lambda():
@@ -79,9 +61,9 @@ def test_criterion_2_worstcase_families():
 def test_criterion_3_oracle_equivalence():
     targets = {}
     for w in range(6):
-        for ms in all_partitions(w, 4):
-            lam = min_rules(new_partition(ms, w))
-            state = tuple(sorted(ms + (0,) * (4 - len(ms))))
+        for p in all_partitions(w, 4):
+            lam = min_rules(p)
+            state = tuple(sorted(p.weights + (0,) * (4 - p.k)))
             targets[state] = lam
     # exact search distances, met against zero balls of 5061 and 5436 states
     ok = meet_distances(targets, 5, 4, radius=4) == targets
@@ -117,11 +99,12 @@ def test_criterion_5_synthesis_round_trip():
         w = rng.randrange(5, 33)
         p = sample_partition(k, w, rng)
         t = synthesize_lpm(p)
-        lens = [r.pattern.prefix_len for r in t.rules]
+        lens = [r.pattern.care.bit_count() for r in t.rules]
         ok = (
             ok
             and evaluate_table(t) == [0, *p.weights]
             and len(t) == min_rules(p)
+            and all(prefix_span(r.pattern) for r in t.rules)
             and lens == sorted(lens, reverse=True)
         )
         if not ok:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from support import REMARK3_W10, THM8
 from tcamsplit.cli import main
 from tcamsplit.core import MAX_TARGET, new_partition, sample_partition
 from tcamsplit.errors import TcamSplitError
@@ -16,11 +17,6 @@ from tcamsplit.matcher import min_rules
 from tcamsplit.signed import lpm_bounds
 from tcamsplit.tcam import evaluate_table, synthesize_lpm, table_from_text, table_to_text
 from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
-
-REMARK3_W10 = (
-    "0000000000 2\n*000***000 1\n**000***** 2\n00******** 2\n********** 1\n"
-)
-THM8 = "**000 2\n00*** 2\n***** 1\n"
 
 
 def run_cli(capsys, *argv):
@@ -557,6 +553,45 @@ def test_bad_line_names_its_number(capsys, tmp_path, argv, text, message):
     f.write_text(text)
     code, out, err = run_cli(capsys, *argv, str(f))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, start",
+    [(("verify", "--rules", "-"), "** " + "1" * 5001, "error: line 1: expected '<pattern> <target>'"),
+     (("normalize", "--counts", "-"), "x" * 5001, "error: line 1: could not convert string")],
+    ids=["rule", "count"],
+)
+def test_long_bad_line_is_cut_in_the_error(capsys, monkeypatch, argv, stdin, start):
+    # the whole 5001-character line used to be quoted in the message
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin + "\n"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(start) and "..." in err
+    assert err.count("\n") == 1 and len(err) < 150
+
+
+RW_DIGITS = "--p needs numbers of at most 4300 digits and exponents of at most 4"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("compile", "--weights", "1" * 5001), "weight field 1 has 5001 digits, 2**128 has 39"),
+     (("bounds", "--weights", "5," + "0" * 50 + "3", "--width", "3"), None),
+     (("compile", "--weights", "4," + "4" * 4000, "--width", "3"),
+      "weight field 2 has 4000 digits, 2**128 has 39"),
+     (("rw", "--p", "1" * 5001, "--n", "1"), RW_DIGITS),
+     (("rw", "--p", "1/" + "1" * 5001, "--n", "1"), RW_DIGITS),
+     (("rw", "--p", "0." + "1_" * 4400 + "1", "--n", "1"), RW_DIGITS)],
+    ids=["weight", "leading-zeros", "weight-4000", "p", "p-denominator", "p-underscores"],
+)
+def test_over_long_numbers_refused_by_digit_count(capsys, argv, message):
+    # int() refused these with Python's 4300-digit message; a 4000-digit weight
+    # was read and then refused with all of its digits in the sum
+    code, out, err = run_cli(capsys, *argv)
+    if message is None:  # leading zeros are not digits of the weight
+        assert (code, out, err) == run_cli(capsys, "bounds", "--weights", "5,3", "--width", "3")
+        assert code == 0
+    else:
+        assert (code, out, err) == (1, "", f"error: {message}\n") and len(err) < 150
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +47,14 @@ def test_new_partition_rejects():
             assert str(info.value) == msg
     # new_partition converts to int; Partition takes ints only
     assert new_partition([4.0, True, 3], 3).weights == (4, 1, 3)
+    # a weight int() would change is refused, not truncated to (3, 1)
+    for weights, width, bad in [
+        ([3.2, 1.3], 2, "3.2"),
+        ([Fraction(5, 2), Fraction(11, 2)], 3, r"Fraction\(5, 2\)"),
+        ((w for w in [4, 3.5, 0.5]), 3, "3.5"),
+    ]:
+        with pytest.raises(ZeroWeight, match=rf"^weight {bad} is not an int$"):
+            new_partition(weights, width)
     with pytest.raises(ZeroWeight, match=r"^weight 4\.0 is not an int$"):
         Partition((4.0, 1, 3), 3)
     # a list would leave the frozen Partition unhashable
@@ -262,6 +271,17 @@ def test_partition_from_text_refuses_empty_field(text, field):
     for width in (None, 1):
         with pytest.raises(ZeroWeight, match=f"^empty field {field} in the weight list$"):
             core.partition_from_text(text, width)
+
+
+def test_partition_from_text_refuses_over_long_field():
+    # 2**128 has 39 digits, so no weight has 40; the count skips leading zeros
+    for width in (None, 3, MAX_WIDTH):
+        with pytest.raises(WidthOverflow, match=r"^weight field 2 has 40 digits, 2\*\*128 has 39$"):
+            core.partition_from_text("1," + "0" * 50 + "1" * 40, width)
+    top = str(1 << MAX_WIDTH)
+    for text in (top, "0" * 50 + top, "+" + "0" * 50 + top):
+        assert core.partition_from_text(text) == Partition((1 << MAX_WIDTH,), MAX_WIDTH)
+    assert core.partition_from_text("5," + "0" * 40 + "1,2", 3) == new_partition([5, 1, 2], 3)
 
 
 def test_text_and_json_round_trips():

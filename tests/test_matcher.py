@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from support import all_partitions
 from tcamsplit import matcher
 from tcamsplit.core import (
     MAX_WIDTH,
@@ -85,16 +86,16 @@ def test_zeroed_bits_accounting():
         k = rng.choice([2, 3, 5, 8])
         p = sample_partition(k, 12, rng)
         weights = [0] + list(p.weights)
-        for t in bit_matcher(p):
-            if t.dst == 0:
+        for src, dst, size in bit_matcher(p):
+            if dst == 0:
                 break
-            weights[t.src] -= t.size
-            weights[t.dst] += t.size
-            lvl = t.level
+            weights[src] -= size
+            weights[dst] += size
+            lvl = size.bit_length() - 1
             if lvl < p.width - 1:
                 zeros = sum(
                     1
-                    for idx in (t.src, t.dst)
+                    for idx in (src, dst)
                     for sh in (lvl, lvl + 1)
                     if not (weights[idx] >> sh) & 1
                 )
@@ -126,7 +127,7 @@ def test_random_matcher_mean_length_envelope():
 def test_signed_matcher():
     p = new_partition([3, 1], 2)
     s = signed_matcher(p)
-    assert [(t.src, t.size, t.dst) for t in s] == [(2, 1, 1), (1, 4, 0)]
+    assert [(src, size, dst) for src, dst, size in s] == [(2, 1, 1), (1, 4, 0)]
     assert len(signed_matcher(new_partition([64], 6))) == 1
     rng = random.Random(3)
     for _ in range(100):
@@ -161,7 +162,7 @@ def test_anchor_sequence():
         assert validate_sequence(p, s).zeroes
     # ascending level order
     s = anchor_sequence(new_partition([5, 5, 5, 1], 4))
-    sizes = [t.size for t in s]
+    sizes = [size for _, _, size in s]
     assert sizes == sorted(sizes)
 
 
@@ -191,7 +192,7 @@ def test_brute_force_guard():
 def test_oracle_agrees_small():
     # exhaustive W <= 3; the full W <= 5 sweep lives in the acceptance suite
     for width in range(4):
-        for p in _all_partitions(width, 4):
+        for p in all_partitions(width, 4):
             assert brute_force_lambda(p) == min_rules(p)
             assert brute_force_lambda(p, allow_negative=True) == min_rules(p)
 
@@ -200,7 +201,7 @@ def test_zeroing_distances_stop_at_max_depth():
     # the backward search and brute_force_lambda's forward one agree
     dist = matcher.zeroing_distances(3, 3, max_depth=4)
     assert len(dist) == 515 and max(dist.values()) == 4
-    for p in _all_partitions(3, 3):
+    for p in all_partitions(3, 3):
         assert dist[tuple(sorted(p.weights + (0,) * (3 - p.k)))] == brute_force_lambda(p)
     assert matcher.zeroing_distances(3, 3, max_depth=0) == {(0, 0, 0): 0}
     with pytest.raises(InstanceTooLarge):
@@ -245,7 +246,7 @@ def test_meet_distances_match_zeroing_distances():
 def test_meet_distances_prove_lambda():
     # criterion 3's check at W <= 3 (targets given unsorted come back sorted):
     # every lambda matches, and any one lambda lowered by 1 fails it
-    parts = [p for width in range(4) for p in _all_partitions(width, 4)]
+    parts = [p for width in range(4) for p in all_partitions(width, 4)]
     got = matcher.meet_distances([p.weights + (0,) * (4 - p.k) for p in parts], 3, 4, radius=2)
     targets = {tuple(sorted(p.weights + (0,) * (4 - p.k))): min_rules(p) for p in parts}
     assert got == targets
@@ -339,7 +340,7 @@ def test_zeroing_distances_match_reference_search():
 
 
 def test_brute_force_lambda_matches_reference_search():
-    parts = [p for width in range(4) for p in _all_partitions(width, 4)]
+    parts = [p for width in range(4) for p in all_partitions(width, 4)]
     # start values outside [lo, hi] cannot reach the search: construction refuses them
     for weights, exc, msg in [
         ((9, -1), ZeroWeight, "weight -1 is not positive"),
@@ -357,25 +358,6 @@ def test_brute_force_lambda_matches_reference_search():
             goal = (0,) * p.k
             ref = _reference_search(tuple(sorted(p.weights)), p.width, allow_negative, goal=goal)
             assert brute_force_lambda(p, allow_negative) == ref[goal]
-
-
-def _all_partitions(width, kmax):
-    total = 1 << width
-    out = []
-
-    def rec(rem, maxpart, cur):
-        if rem == 0:
-            out.append(new_partition(tuple(cur), width))
-            return
-        if len(cur) == kmax:
-            return
-        for part in range(min(rem, maxpart), 0, -1):
-            cur.append(part)
-            rec(rem - part, part, cur)
-            cur.pop()
-
-    rec(total, total, [])
-    return out
 
 
 # --- min_rules is a count-only kernel; bit_matcher is its reference ----------
@@ -557,7 +539,7 @@ def test_bit_matcher_matches_reference_sort():
     for p in parts:
         got, want = bit_matcher(p), _reference_bit_matcher(p)
         assert got == want
-        assert matcher._bit_moves(p) == [(t.src, t.dst, t.size) for t in want]
+        assert got == tuple((t.src, t.dst, t.size) for t in want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -581,7 +563,7 @@ def test_bit_matcher_matches_reference_sort_random(p):
 def test_bit_matcher_matches_reference_sort_cases(weights, width, moves):
     p = new_partition(weights, width)
     assert bit_matcher(p) == _reference_bit_matcher(p) == tuple(moves)
-    assert matcher._bit_moves(p) == moves
+    assert list(bit_matcher(p)) == moves
 
 
 def test_random_matcher_matches_reference_with_seed():

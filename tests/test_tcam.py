@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import re
 import time
 from bisect import bisect_left, bisect_right
 from functools import reduce
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import REMARK3_W10, THM8, prefix_span
 from tcamsplit import tcam
 from tcamsplit.cli import main
 from tcamsplit.core import (
@@ -47,18 +47,14 @@ from tcamsplit.worstcase import gen_general_hard, gen_k3, gen_triplets
 
 EX1 = "011 1\n01* 2\n0** 3\n*** 1"
 REMARK3_W4 = "**00 1\n00** 2\n01** 3\n10** 4\n11** 5"
-REMARK3_W10 = (
-    "0000000000 2\n*000***000 1\n**000***** 2\n00******** 2\n********** 1"
-)
-THM8 = "**000 2\n00*** 2\n***** 1"
 
 
 def test_pattern_parse_format():
     p = TernaryPattern.parse("01*")
     assert str(p) == "01*" and p.width == 3 and p.count == 2
-    assert p.is_prefix() and p.prefix_len == 2 and p.interval() == (2, 4)
+    assert prefix_span(p) == (2, 4) and p.care.bit_count() == 2
     q = TernaryPattern.parse("*0*")
-    assert not q.is_prefix() and q.count == 4
+    assert prefix_span(q) is None and q.count == 4
     assert [a for a in range(8) if q.matches(a)] == [0, 1, 4, 5]
 
 
@@ -108,17 +104,6 @@ def test_pattern_and_rule_are_named_tuples():
     assert [type(r) for r in read.rules] == [Rule, Rule]
     assert [type(r.pattern) for r in read.rules] == [TernaryPattern, TernaryPattern]
     assert read.rules == (rule, (TernaryPattern(3, 5, 1), 2))
-
-
-@pytest.mark.parametrize("text", ["0*1", "*0", "1*0*", "*1**"])
-def test_interval_and_prefix_len_refuse_non_prefix(text):
-    # 0*1 matches {1, 3}; an unchecked interval would be [1, 3), that is {1, 2}
-    p = TernaryPattern.parse(text)
-    message = f"^pattern {re.escape(text)} is not a prefix$"
-    with pytest.raises(ValueError, match=message):
-        p.interval()
-    with pytest.raises(ValueError, match=message):
-        p.prefix_len
 
 
 def _per_bit_str(pattern):
@@ -184,8 +169,8 @@ def test_pattern_str_matches_decimal_digits_wide():
         for care in (((1 << width) - 1) >> low << low, rng.getrandbits(width)):
             pattern = TernaryPattern(width, care, rng.getrandbits(width) & care)
             assert str(pattern) == _decimal_digit_str(pattern) == _per_bit_str(pattern)
-            seen_prefix += pattern.is_prefix()
-            seen_general += not pattern.is_prefix()
+            seen_prefix += prefix_span(pattern) is not None
+            seen_general += prefix_span(pattern) is None
     assert seen_prefix > 3000 and seen_general > 2000
 
 
@@ -204,7 +189,8 @@ def test_synthesize_prefix_monotone():
     for _ in range(100):
         p = sample_partition(rng.randrange(1, 9), 12, rng)
         t = synthesize_lpm(p)
-        lens = [r.pattern.prefix_len for r in t.rules]
+        assert all(prefix_span(r.pattern) for r in t.rules)
+        lens = [r.pattern.care.bit_count() for r in t.rules]
         assert lens == sorted(lens, reverse=True)
         assert lens[-1] == 0  # match-all at the bottom
 
@@ -234,19 +220,19 @@ def _reference_synthesize(p):
     allocator the start-sorted block lists replaced."""
     txs = bit_matcher(p)
     width = p.width
-    last = txs[-1]
-    rules = [Rule(_block(width, 0, width), last.src)]
-    blocks = {last.src: [(0, width)]}  # target -> [(start, level)]
-    for t in reversed(txs[:-1]):
-        lvl = t.level
-        holding = blocks.get(t.dst, [])
+    top = txs[-1][0]
+    rules = [Rule(_block(width, 0, width), top)]
+    blocks = {top: [(0, width)]}  # target -> [(start, level)]
+    for src, dst, size in reversed(txs[:-1]):
+        lvl = size.bit_length() - 1
+        holding = blocks.get(dst, [])
         start, blvl = min(b for b in holding if b[1] >= lvl)
         holding.remove((start, blvl))
         while blvl > lvl:
             blvl -= 1
             holding.append((start + (1 << blvl), blvl))
-        rules.append(Rule(_block(width, start, lvl), t.src))
-        blocks.setdefault(t.src, []).append((start, lvl))
+        rules.append(Rule(_block(width, start, lvl), src))
+        blocks.setdefault(src, []).append((start, lvl))
     rules.reverse()
     return RuleTable(width, tuple(rules))
 
@@ -346,7 +332,7 @@ def test_sequence_round_trip_random():
         s = table_to_sequence(t)
         assert len(s) == min_rules(p)
         assert validate_sequence(p, s).zeroes
-        assert sorted(x.size for x in s) == sorted(x.size for x in bit_matcher(p))
+        assert sorted(x.size for x in s) == sorted(size for _, _, size in bit_matcher(p))
 
 
 def test_intersect():
@@ -602,7 +588,7 @@ def _interval_paint(table):
     rules, n, end = table.rules, len(table.rules), 1 << table.width
     starts, owners, below = [0], [n], [None] * n
     for i in range(n - 1, -1, -1):
-        lo, hi = rules[i].pattern.interval()
+        lo, hi = prefix_span(rules[i].pattern)
         j = bisect_right(starts, lo) - 1
         m = bisect_left(starts, hi, j)
         edges = [lo, *starts[j + 1:m], hi]
@@ -692,11 +678,15 @@ def test_table_to_sequence_general_matches_reference(table):
     _check_sequence(table)
 
 
+def _is_prefix_table(table):
+    return all(prefix_span(r.pattern) for r in table.rules)
+
+
 def test_too_large_to_evaluate():
     # 21 single-bit rules, all but the first non-prefix, at width 25
     rules = "".join("*" * i + "1" + "*" * (24 - i) + " 1\n" for i in range(21))
     table = table_from_text(rules)
-    assert not table.is_prefix_table()
+    assert not _is_prefix_table(table)
     for read in (evaluate_table, table_to_sequence):
         with pytest.raises(TooLargeToEvaluate, match="^21 general rules at width 25$"):
             read(table)
@@ -707,7 +697,7 @@ def test_single_bit_rules_past_ie_limit():
     # doubles with each such rule, so above 20 rules owner sets take over
     text = "".join("*" * (23 - b) + "1" + "*" * b + " 1\n" for b in range(24))
     table = table_from_text(text + "*" * 24 + " 2\n")
-    assert len(table) == 25 and not table.is_prefix_table()
+    assert len(table) == 25 and not _is_prefix_table(table)
     assert evaluate_table(table) == [0, 2**24 - 1, 1]
     p = new_partition([2**24 - 1, 1], 24)
     assert validate_sequence(p, table_to_sequence(table)).zeroes
@@ -789,7 +779,7 @@ def wide_general_tables(draw):
 @given(wide_general_tables())
 def test_evaluate_wide_general_matches_lookup_and_owner_pass(table):
     # the claim's counts and runs against the owner walk, over up to 16 chunks
-    assert not table.is_prefix_table() and len(table) > 20
+    assert not _is_prefix_table(table) and len(table) > 20
     _check_evaluate(table)
     # few drawn tables leave no address on target 0, so each is also read
     # with target 0 renamed and a match-all below, which must resequence
@@ -835,7 +825,7 @@ def test_bit_permuted_prefix_tables():
         )
         table = table_from_text(text)
         assert table_from_text(table_to_text(table)) == table  # as audit reads it
-        if not table.is_prefix_table():
+        if not _is_prefix_table(table):
             general["ie" if len(table) <= 20 else "owner sets"] += 1
         assert evaluate_table(table) == evaluate_table(prefix) == [0, *p.weights]
         assert table_to_sequence(table) == table_to_sequence(prefix)

@@ -62,8 +62,16 @@ class Partition:
 
 def new_partition(weights, width: int) -> Partition:
     """Build a Partition from weights that int() leaves equal, such as 4.0 or True;
-    any other weight, such as 3.2, is passed on as it is, for Partition to refuse."""
-    return Partition(tuple(int(w) if int(w) == w else w for w in weights), width)
+    any other weight, such as 3.2, inf or '5', is passed on as it is, for Partition
+    to refuse."""
+    return Partition(tuple(map(_int_if_equal, weights)), width)
+
+
+def _int_if_equal(w):
+    try:
+        return int(w) if int(w) == w else w
+    except (OverflowError, TypeError, ValueError):  # inf, None, nan or 'x'
+        return w
 
 
 class Transaction(NamedTuple):
@@ -174,14 +182,18 @@ def parse_lines(text: str, parse) -> list:
 
 def partition_from_text(text: str, width: int | None = None) -> Partition:
     """Comma-separated weights; an empty field (as in "1,,1" or "1,1,") is
-    refused with ZeroWeight rather than skipped, and one of over 39 digits with WidthOverflow."""
+    refused with ZeroWeight rather than skipped, and one of over 39 digits after
+    its leading zeros with WidthOverflow."""
     toks = text.replace(" ", "").split(",")
     if "" in toks:
         raise ZeroWeight(f"empty field {toks.index('') + 1} in the weight list")
     if max(map(len, toks)) > 39:  # 2**128 has 39 digits; CPython's int() reads at most 4300
-        for i, tok in enumerate(toks, 1):
-            if (digits := len(tok.lstrip("+-").lstrip("0"))) > 39:
-                raise WidthOverflow(f"weight field {i} has {digits} digits, 2**128 has 39")
+        for i, tok in enumerate(toks):
+            body = (unsigned := tok.lstrip("+-")).lstrip("0")
+            if len(body) > 39:
+                raise WidthOverflow(f"weight field {i + 1} has {len(body)} digits, 2**128 has 39")
+            # int() reads one leading zero as it reads many, and counts them all
+            toks[i] = tok[: len(tok) - len(unsigned)] + "0" + body
     ws = tuple(map(int, toks))
     if width is None:
         total = sum(ws)

@@ -66,10 +66,7 @@ def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int
                     size -= z
                 e += 1
             if need < size:  # tied keys are equal weights; the lowest indices donate
-                rest = cand
-                for _ in range(need):
-                    rest &= rest - 1
-                cand ^= rest
+                cand = _lowest_bits(cand, need)
             donors |= cand
         carry = (planes[d] & carry) | (act & ~donors)  # receivers gain 2**d
     last = planes[width] ^ carry
@@ -78,6 +75,20 @@ def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int
     if pairs is not None:
         moves.append((last.bit_length(), 0, 1 << width))
     return lam, moves
+
+
+def _lowest_bits(mask: int, n: int) -> int:
+    """The n lowest set bits of mask (0 <= n <= mask.bit_count()), by binary
+    search for the least m whose low m bits hold n of them: O(log k) big-int
+    operations on a k-bit mask, not n."""
+    lo, hi = n, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
 def bit_matcher(p: Partition) -> tuple[tuple[int, int, int], ...]:
@@ -102,8 +113,21 @@ def bit_matcher(p: Partition) -> tuple[tuple[int, int, int], ...]:
 
 
 def _bit_planes(weights: tuple[int, ...], count: int) -> list[int]:
-    """planes[d] has bit i set iff bit d of weights[i] is set (weights >= 0)."""
+    """planes[d] has bit i set iff bit d of weights[i] is set (0 <= weights < 2**count).
+
+    Up to 8 weights, each plane is a byte of one integer: a weight's binary
+    digits as ASCII bytes, read big-endian and masked to each byte's low bit,
+    hold its bit d at bit 8d, and weight i is shifted by i.  That is k big-int
+    operations, not count int() parses of strided slices: 4 against 22 us at
+    k=3, W=100.  16-bit lanes lost to the slices at k=16, W=32.
+    """
     fmt = f"0{count}b"
+    if len(weights) <= 8:
+        ones = int.from_bytes(b"\1" * count, "big")
+        acc = 0
+        for i, w in enumerate(weights):
+            acc |= (int.from_bytes(format(w, fmt).encode(), "big") & ones) << i
+        return list(acc.to_bytes(count, "little"))
     rows = "".join([format(w, fmt) for w in reversed(weights)])
     return [int(rows[j::count], 2) for j in range(count - 1, -1, -1)]
 

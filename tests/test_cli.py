@@ -576,18 +576,22 @@ RW_DIGITS = "--p needs numbers of at most 4300 digits and exponents of at most 4
     "argv, message",
     [(("compile", "--weights", "1" * 5001), "weight field 1 has 5001 digits, 2**128 has 39"),
      (("bounds", "--weights", "5," + "0" * 50 + "3", "--width", "3"), None),
+     (("bounds", "--weights", "5," + "0" * 5000 + "3", "--width", "3"), None),
+     (("compile", "--weights", "5,+" + "0" * 5000 + "1" * 40, "--width", "3"),
+      "weight field 2 has 40 digits, 2**128 has 39"),
      (("compile", "--weights", "4," + "4" * 4000, "--width", "3"),
       "weight field 2 has 4000 digits, 2**128 has 39"),
      (("rw", "--p", "1" * 5001, "--n", "1"), RW_DIGITS),
      (("rw", "--p", "1/" + "1" * 5001, "--n", "1"), RW_DIGITS),
      (("rw", "--p", "0." + "1_" * 4400 + "1", "--n", "1"), RW_DIGITS)],
-    ids=["weight", "leading-zeros", "weight-4000", "p", "p-denominator", "p-underscores"],
+    ids=["weight", "leading-zeros", "leading-zeros-5000", "leading-zeros-5000-then-40",
+         "weight-4000", "p", "p-denominator", "p-underscores"],
 )
 def test_over_long_numbers_refused_by_digit_count(capsys, argv, message):
     # int() refused these with Python's 4300-digit message; a 4000-digit weight
     # was read and then refused with all of its digits in the sum
     code, out, err = run_cli(capsys, *argv)
-    if message is None:  # leading zeros are not digits of the weight
+    if message is None:  # leading zeros are not digits of the weight, nor int()'s
         assert (code, out, err) == run_cli(capsys, "bounds", "--weights", "5,3", "--width", "3")
         assert code == 0
     else:

@@ -52,6 +52,12 @@ def test_new_partition_rejects():
         ([3.2, 1.3], 2, "3.2"),
         ([Fraction(5, 2), Fraction(11, 2)], 3, r"Fraction\(5, 2\)"),
         ((w for w in [4, 3.5, 0.5]), 3, "3.5"),
+        # int() raised OverflowError, ValueError or TypeError on these
+        ([float("inf")], 3, "inf"),
+        ([float("nan"), 8], 3, "nan"),
+        ([4, -float("inf")], 3, "-inf"),
+        ([None], 3, "None"),
+        (["x"], 3, "'x'"),
     ]:
         with pytest.raises(ZeroWeight, match=rf"^weight {bad} is not an int$"):
             new_partition(weights, width)

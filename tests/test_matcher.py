@@ -468,6 +468,73 @@ def test_min_rules_rejects_negative_weights(weights, negative, width):
     assert str(info.value) == f"weight {next(w for w in weights if w <= 0)} is not positive"
 
 
+# --- the kernel's bit transposition and tie rule against the loops they replaced
+
+def _reference_bit_planes(weights, count):
+    """The strided transposition: one int() parse per plane, of every
+    count-th digit of the weights' concatenated fixed-width rows."""
+    fmt = f"0{count}b"
+    rows = "".join(format(w, fmt) for w in reversed(weights))
+    return [int(rows[j::count], 2) for j in range(count - 1, -1, -1)]
+
+
+def test_bit_planes_match_strided_reference():
+    # k <= 8 takes the byte lanes, k >= 9 the strided slices
+    rng = random.Random(26)
+    for width in (0, 1, 63, 64, 100, 128):
+        count = width + 1
+        for k in range(1, 13):
+            cases = [[1 << width] * k, [(1 << count) - 1] * k, [1] * k, [0] * k,
+                     [rng.randrange(1 << count) for _ in range(k)]]
+            for weights in map(tuple, cases):
+                got = matcher._bit_planes(weights, count)
+                assert got == _reference_bit_planes(weights, count)
+                assert got == [sum((w >> d & 1) << i for i, w in enumerate(weights))
+                               for d in range(count)]
+
+
+def _reference_lowest_bits(mask, n):
+    """The tie rule as a loop: clear the lowest set bit n times."""
+    rest = mask
+    for _ in range(n):
+        rest &= rest - 1
+    return mask ^ rest
+
+
+def test_lowest_bits_matches_loop_on_random_masks():
+    rng = random.Random(26)
+    for _ in range(20_000):
+        mask = rng.getrandbits(rng.randrange(1, 300)) & rng.getrandbits(300)
+        n = rng.randrange(mask.bit_count() + 1)
+        assert matcher._lowest_bits(mask, n) == _reference_lowest_bits(mask, n)
+
+
+def _tie_heavy_partitions():
+    for k, width in ((2, 4), (5, 9), (100, 40), (1000, 128), (4096, 20)):
+        yield gen_general_hard(k, width)
+    for e, width in ((1, 1), (3, 7), (6, 6), (9, 30), (12, 128)):
+        yield new_partition([1 << (width - e)] * (1 << e), width)  # all equal
+    rng = random.Random(26)
+    for width in (0, 1, 2, 5, 10, 12):  # the one partition of 2**W into 2**W parts
+        yield sample_partition(1 << width, width, rng)
+
+
+def test_tie_rule_matches_loop_on_tie_heavy_partitions(monkeypatch):
+    calls = []
+
+    def checked(mask, n):
+        got = lowest_bits(mask, n)
+        assert got == _reference_lowest_bits(mask, n)
+        calls.append(n)
+        return got
+
+    lowest_bits = matcher._lowest_bits
+    monkeypatch.setattr(matcher, "_lowest_bits", checked)
+    for p in _tie_heavy_partitions():
+        assert min_rules(p) == len(bit_matcher(p))
+    assert len(calls) > 50 and max(calls) >= 2048
+
+
 # --- bit_matcher relies on a stable sort for ties; an explicit index key is its reference
 
 def _reference_level_loop(p, pair):

@@ -109,6 +109,7 @@ def test_speed_claims_need_a_raw_wall_gain():
     (16, "audit:ops_per_s:1.2", True),
     (18, "audit:ops_per_s:1.10", True),
     (21, "compile:ops_per_s:1.12", True),
+    (26, "montecarlo:ops_per_s:1.10", True),
     # no claim was made: normalized audit read 1.094 and 1.064, raw wall 0.985 and 0.977
     (19, "audit:ops_per_s:1.05", False),
     (20, "audit:ops_per_s:1.05", False),

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, groupby, zip_longest
+from itertools import accumulate, compress, groupby, zip_longest
 from operator import itemgetter
 
 from .core import Partition
 from .errors import BadOracleInput, InstanceTooLarge, InternalInvariantViolated
 from .signed import naf_count, naf_decompose
+
+_NUL = bytes.maketrans(b"0", b"\0")  # a digit string's 0s to false bytes
 
 
 def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int]]]:
@@ -42,7 +44,16 @@ def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int
             raise InternalInvariantViolated(f"odd active set at level {d}")
         need = size // 2
         lam += need
-        if pairs is not None:
+        # dense: list act by one O(k) scan, byte i of keep for bit i; it beats
+        # popping act's bits, O(k) each, past about k / 10 or 256 (measured)
+        if pairs is not None and size > 16 and size * 10 > min(act.bit_length(), 2560):
+            keep, step = bytearray(bin(act)[:1:-1], "ascii"), 1 << d
+            for i, j in pairs(list(compress(range(len(keep)), keep.translate(_NUL))), d):
+                moves.append((i + 1, j + 1, step))
+                keep[i] = 48  # b"0": the donor's bit clears
+            keep.reverse()
+            donors = act ^ int(keep, 2)
+        elif pairs is not None:
             ix, rest = [], act
             while rest:
                 ix.append((rest & -rest).bit_length() - 1)

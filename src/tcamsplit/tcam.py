@@ -1,7 +1,7 @@
 """Ternary / prefix rule tables: synthesis, exact evaluation, intersection."""
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
@@ -145,17 +145,18 @@ def _prefix_rows(moves) -> tuple[int, list[tuple[int, int, int]]]:
         raise InternalInvariantViolated(f"last move of size {space} is not a whole space")
     width = space.bit_length() - 1
     rows = [(0, width, top)]
-    # target -> its sorted runs; sizes only fall, so run starts stay aligned
-    runs: dict[int, list[tuple[int, int]]] = {top: [(0, space)]}
+    # target -> its lowest run, the only one read: the guard raises before a
+    # run empties; sizes only fall, so run starts stay aligned
+    first = {top: (0, space)}
     for src, dst, size in reversed(moves[:-1]):
         lvl = size.bit_length() - 1
-        holding = runs.get(dst) or [(0, 0)]  # an empty run fails the guard
-        start, end = holding[0]
+        start, end = first.get(dst, (0, 0))  # no run fails the guard
         if end - start <= size or start % size:  # a target moves once a level: no run empties
             raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {dst}")
-        holding[0] = (start + size, end)
+        first[dst] = (start + size, end)
         rows.append((start, lvl, src))
-        insort(runs.setdefault(src, []), (start, start + size))
+        if start < first.get(src, (space,))[0]:
+            first[src] = (start, start + size)
     rows.reverse()
     return width, rows
 

@@ -1,8 +1,12 @@
 """Fixtures shared by several test modules: the paper's general rule tables,
-an exhaustive partition enumerator and a prefix pattern's address span."""
+an exhaustive partition enumerator, tie-heavy partitions up to k=4096 and a
+prefix pattern's address span."""
 from __future__ import annotations
 
-from tcamsplit.core import new_partition
+import random
+
+from tcamsplit.core import new_partition, sample_partition
+from tcamsplit.worstcase import gen_general_hard
 
 # Remark 3's W=10 table and Theorem 8's W=5 table, as `verify` reads them
 REMARK3_W10 = "0000000000 2\n*000***000 1\n**000***** 2\n00******** 2\n********** 1\n"
@@ -27,6 +31,18 @@ def all_partitions(width, kmax):
 
     rec(1 << width, 1 << width, [])
     return out
+
+
+def tie_heavy_partitions():
+    """Partitions whose levels hold many equal keys and long active sets, up
+    to k=4096: the worst-case family, all-equal parts and 2**W unit parts."""
+    for k, width in ((2, 4), (5, 9), (100, 40), (1000, 128), (4096, 20)):
+        yield gen_general_hard(k, width)
+    for e, width in ((1, 1), (3, 7), (6, 6), (9, 30), (12, 128)):
+        yield new_partition([1 << (width - e)] * (1 << e), width)  # all equal
+    rng = random.Random(26)
+    for width in (0, 1, 2, 5, 10, 12):  # the one partition of 2**W into 2**W parts
+        yield sample_partition(1 << width, width, rng)
 
 
 def prefix_span(pattern):

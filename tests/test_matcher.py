@@ -1,13 +1,13 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, compress
 from operator import sub
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from support import all_partitions
+from support import all_partitions, tie_heavy_partitions
 from tcamsplit import matcher
 from tcamsplit.core import (
     MAX_WIDTH,
@@ -509,16 +509,6 @@ def test_lowest_bits_matches_loop_on_random_masks():
         assert matcher._lowest_bits(mask, n) == _reference_lowest_bits(mask, n)
 
 
-def _tie_heavy_partitions():
-    for k, width in ((2, 4), (5, 9), (100, 40), (1000, 128), (4096, 20)):
-        yield gen_general_hard(k, width)
-    for e, width in ((1, 1), (3, 7), (6, 6), (9, 30), (12, 128)):
-        yield new_partition([1 << (width - e)] * (1 << e), width)  # all equal
-    rng = random.Random(26)
-    for width in (0, 1, 2, 5, 10, 12):  # the one partition of 2**W into 2**W parts
-        yield sample_partition(1 << width, width, rng)
-
-
 def test_tie_rule_matches_loop_on_tie_heavy_partitions(monkeypatch):
     calls = []
 
@@ -530,7 +520,7 @@ def test_tie_rule_matches_loop_on_tie_heavy_partitions(monkeypatch):
 
     lowest_bits = matcher._lowest_bits
     monkeypatch.setattr(matcher, "_lowest_bits", checked)
-    for p in _tie_heavy_partitions():
+    for p in tie_heavy_partitions():
         assert min_rules(p) == len(bit_matcher(p))
     assert len(calls) > 50 and max(calls) >= 2048
 
@@ -645,6 +635,32 @@ def test_random_matcher_matches_reference_with_seed():
 def test_random_matcher_matches_reference_with_seed_random(p, seed):
     got = random_matcher(p, random.Random(seed))
     assert got == _reference_random_matcher(p, random.Random(seed))
+
+
+# --- the pairs path lists a level's indices by popping the mask's lowest bit,
+# --- or on a dense level by one scan of its digits; the k-scan loop is the reference
+
+def test_listing_matches_k_scan_on_tie_heavy_partitions():
+    for n, p in enumerate(tie_heavy_partitions()):
+        assert bit_matcher(p) == _reference_bit_matcher(p)
+        assert random_matcher(p, random.Random(n)) == _reference_random_matcher(p, random.Random(n))
+
+
+@pytest.mark.parametrize("k, scans", [(17, []), (19, [18])], ids=["16-popped", "18-scanned"])
+def test_listing_switches_to_the_scan_above_16_active_indices(monkeypatch, k, scans):
+    # level 0 lists the k - 1 unit parts: 16 of them are popped, 18 are
+    # scanned, over their 18 digits; every later level has at most 10
+    seen = []
+
+    def scan(data, selectors):
+        seen.append(len(data))
+        return compress(data, selectors)
+
+    monkeypatch.setattr(matcher, "compress", scan)
+    p = new_partition([1] * (k - 1) + [2**8 - (k - 1)], 8)
+    assert bit_matcher(p) == _reference_bit_matcher(p)
+    assert random_matcher(p, random.Random(k)) == _reference_random_matcher(p, random.Random(k))
+    assert seen == scans * 2
 
 
 # --- signed_matcher and anchor_sequence read one digit list; the per-level

@@ -2,7 +2,7 @@ import json
 import math
 import random
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import reduce
 from itertools import product
 from operator import sub
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import REMARK3_W10, THM8, prefix_span
+from support import REMARK3_W10, THM8, prefix_span, tie_heavy_partitions
 from tcamsplit import tcam
 from tcamsplit.cli import main
 from tcamsplit.core import (
@@ -264,6 +264,41 @@ def test_synthesize_matches_reference_allocator_random(k, width, seed):
     width = max(width, (k - 1).bit_length())
     p = sample_partition(k, width, random.Random(seed))
     assert synthesize_lpm(p) == _reference_synthesize(p)
+
+
+def _reference_prefix_rows(moves):
+    """_prefix_rows with every run a target holds kept in a start-sorted list:
+    the allocator that one lowest run per target replaced."""
+    top, _, space = moves[-1]
+    if space & (space - 1):
+        raise InternalInvariantViolated(f"last move of size {space} is not a whole space")
+    width = space.bit_length() - 1
+    rows = [(0, width, top)]
+    # target -> its sorted runs; sizes only fall, so run starts stay aligned
+    runs: dict[int, list[tuple[int, int]]] = {top: [(0, space)]}
+    for src, dst, size in reversed(moves[:-1]):
+        lvl = size.bit_length() - 1
+        holding = runs.get(dst) or [(0, 0)]  # an empty run fails the guard
+        start, end = holding[0]
+        if end - start <= size or start % size:  # a target moves once a level: no run empties
+            raise InternalInvariantViolated(f"no block of size 2**{lvl} held by target {dst}")
+        holding[0] = (start + size, end)
+        rows.append((start, lvl, src))
+        insort(runs.setdefault(src, []), (start, start + size))
+    rows.reverse()
+    return width, rows
+
+
+def test_prefix_rows_match_sorted_runs():
+    rng = random.Random(27)
+    parts = [*_worst_partitions(), *tie_heavy_partitions()]
+    for k in (1, 2, 3, 5, 8, 16, 37, 100, 1000):
+        for width in (max(1, (k - 1).bit_length()), 7, 12, 32, 64, 100):
+            if (k - 1).bit_length() <= width:
+                parts += [sample_partition(k, width, rng) for _ in range(2)]
+    for p in parts:
+        moves = bit_matcher(p)
+        assert tcam._prefix_rows(moves) == _reference_prefix_rows(moves)
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,8 @@ def _level_loop(p: Partition, pairs=None) -> tuple[int, list[tuple[int, int, int
             raise InternalInvariantViolated(f"odd active set at level {d}")
         need = size // 2
         lam += need
-        # dense: list act by one O(k) scan, byte i of keep for bit i; it beats
-        # popping act's bits, O(k) each, past about k / 10 or 256 (measured)
+        # dense: list act by one O(k) scan (byte i of keep is bit i), which beats
+        # popping its bits, O(k) each, past about k / 10 indices or 256 (measured)
         if pairs is not None and size > 16 and size * 10 > min(act.bit_length(), 2560):
             keep, step = bytearray(bin(act)[:1:-1], "ascii"), 1 << d
             for i, j in pairs(list(compress(range(len(keep)), keep.translate(_NUL))), d):

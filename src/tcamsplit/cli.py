@@ -24,6 +24,11 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+def _partition(args) -> core.Partition:
+    weights = sys.stdin.read().strip() if args.weights == "-" else args.weights
+    return core.partition_from_text(weights, args.width)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
@@ -33,7 +38,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_compile(args) -> str:
-    p = core.partition_from_text(args.weights, args.width)
+    p = _partition(args)
     moves = matcher.bit_matcher(p)
     width, rows = tcam._prefix_rows(moves)
     text = tcam.prefix_text
@@ -52,7 +57,7 @@ def cmd_compile(args) -> str:
 
 
 def cmd_bounds(args) -> str:
-    p = core.partition_from_text(args.weights, args.width)
+    p = _partition(args)
     lo, hi = signed.lpm_bounds(p)
     fields = {
         "trivial_lower": p.k,
@@ -104,7 +109,7 @@ WORSTCASE_KINDS = {  # --kind choice -> args -> partition
 
 
 def cmd_sequence(args) -> str:
-    seq = MATCHERS[args.matcher](args, core.partition_from_text(args.weights, args.width))
+    seq = MATCHERS[args.matcher](args, _partition(args))
     if args.format == "json":
         return json.dumps(core.sequence_to_json_obj(seq))
     return core.sequence_to_text(seq)
@@ -168,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("compile", help="partition -> minimal prefix rule table")
-    sp.add_argument("--weights", required=True)
+    sp.add_argument("--weights", required=True, help="comma-separated weights or '-'")
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--emit-sequence", action="store_true")
     common(sp, "json")
     sp.set_defaults(func=cmd_compile)
 
     sp = sub.add_parser("bounds", help="size bounds for a partition")
-    sp.add_argument("--weights", required=True)
+    sp.add_argument("--weights", required=True, help="comma-separated weights or '-'")
     sp.add_argument("--width", type=int, default=None)
     common(sp, "json")
     sp.set_defaults(func=cmd_bounds)
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sequence", help="emit a zeroing transaction sequence")
-    sp.add_argument("--weights", required=True)
+    sp.add_argument("--weights", required=True, help="comma-separated weights or '-'")
     sp.add_argument("--width", type=int, default=None)
     sp.add_argument("--matcher", choices=MATCHERS, default="bm")
     sp.add_argument("--seed", type=int, default=None)

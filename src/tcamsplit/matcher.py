@@ -6,6 +6,7 @@ construction realizes the signed-digit upper bound exactly.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import accumulate, compress, groupby, zip_longest
@@ -214,25 +215,13 @@ def anchor_sequence(p: Partition) -> tuple[tuple[int, int, int], ...]:
 
 # --- brute-force oracle ---------------------------------------------------
 
-def _breadth_first(start, width, allow_negative, max_depth=math.inf):
-    """The sorted states first reached from start at each depth, as one list
-    per depth from 0, searched level by level.
-
-    A move takes 2**lvl (lvl <= width + 1) from a slot or the unallocated
-    pool, which is unconstrained, and gives it to another slot or the pool;
-    the values it makes stay in [lo, hi].  A state is looked up by an exact
-    integer key: the power sums u**1 .. u**k over its values, shifted to
-    u = v - lo >= 0, each in a bit field wide enough for it.  Power sums
-    1..k fix a multiset of k values (Newton's identities).  A move changes
-    the key by one table entry per value it changes, so only a new state is
-    sorted into a tuple.  Stops after max_depth levels, or when no new state
-    is left.
-    """
-    if (1 << width) > 256 or len(start) > 5:
-        raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
+@functools.lru_cache(maxsize=8)
+def _move_tables(width, allow_negative, k):
+    """_breadth_first's tables on k slots: value keys; moves as (new value, key
+    change), smallest first, down, up and both (to or from the pool); and, per
+    (v, w) pair the search meets, the moves from value v to w as (change, v', w')."""
     hi = 1 << (width + 1)
     lo = -hi if allow_negative else 0
-    k = len(start)
     # field m holds a sum of k values u**m <= (hi - lo)**m
     bits = [(k * (hi - lo) ** m).bit_length() for m in range(1, k)]
     shifts = list(accumulate(bits, initial=0))
@@ -244,14 +233,31 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf):
             key += power << shift
             power *= u
         entry[v] = key
-    if not all(v in entry for v in start):
-        raise BadOracleInput(f"{start} has a value outside [{lo}, {hi}]")
-    # each value's moves as (new value, key change), smallest size first, so
-    # down[v][n] and up[w][n] move the same 2**n and zip pairs them
     sizes = [1 << lvl for lvl in range(width + 2)]
     down = {v: [(v - s, entry[v - s] - entry[v]) for s in sizes if v - s >= lo] for v in entry}
     up = {v: [(v + s, entry[v + s] - entry[v]) for s in sizes if v + s <= hi] for v in entry}
-    pool = {v: down[v] + up[v] for v in entry}  # to or from the pool
+    return entry, down, up, {v: down[v] + up[v] for v in entry}, {}
+
+
+def _breadth_first(start, width, allow_negative, max_depth=math.inf):
+    """The sorted states first reached from start at each depth, as one list
+    per depth from 0, searched level by level.
+
+    A move takes 2**lvl (lvl <= width + 1) from a slot or the unallocated
+    pool, which is unconstrained, and gives it to another slot or the pool;
+    the values it makes stay in [lo, hi].  A state is looked up by an exact
+    integer key: the power sums u**1 .. u**k over its values, shifted to
+    u = v - lo >= 0, each in a bit field wide enough for it.  Power sums
+    1..k fix a multiset of k values (Newton's identities).  A move changes
+    the key by one precomputed change, so only a new state is sorted into a
+    tuple.  Stops after max_depth levels, or when no new state is left.
+    """
+    if (1 << width) > 256 or len(start) > 5:
+        raise InstanceTooLarge("oracle limited to 2**width <= 256 and k <= 5")
+    k = len(start)
+    entry, down, up, pool, pairs = _move_tables(width, allow_negative, k)
+    if not all(v in entry for v in start):
+        raise BadOracleInput(f"{start} has a value outside [{min(entry)}, {max(entry)}]")
     level, keys = [start], [sum(entry[v] for v in start)]
     seen = set(keys)
     depth = 0
@@ -282,8 +288,12 @@ def _breadth_first(start, width, allow_negative, max_depth=math.inf):
                 for j, w in lasts:  # to another slot
                     if j == i:
                         continue
-                    for (dec, change), (inc, gain) in zip(down[v], up[w]):
-                        new_key = key + change + gain
+                    pw = pairs.get((v, w))
+                    if pw is None:
+                        pw = pairs[v, w] = [(change + gain, dec, inc) for (dec, change), (inc, gain)
+                                            in zip(down[v], up[w])]
+                    for change, dec, inc in pw:
+                        new_key = key + change
                         if new_key not in seen:
                             seen.add(new_key)
                             nxt = list(state)

@@ -272,6 +272,26 @@ def test_bounds(capsys):
     assert fields["lpm_lower"] == fields["lpm_upper"] == fields["lambda"] == "1"
 
 
+def test_weights_from_stdin(capsys, monkeypatch):
+    # `--weights -` reads the list from stdin, which takes more than the
+    # 128 KiB that Linux allows one argument: 2**17 unit weights are 262 KB
+    outs = []
+    for argv, stdin in [
+        (["bounds", "--weights", "-", "--width", "17"], ",".join(["1"] * 2**17) + "\n"),
+        (["compile", "--weights", "-", "--width", "3"], " 5,1,2\n\n"),
+        (["compile", "--weights", "-", "--format", "json", "--emit-sequence"], "\n5,1,2"),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        got = run_cli(capsys, *argv)
+        assert got == run_cli(capsys, *[stdin.strip() if a == "-" else a for a in argv])
+        assert got[0] == 0
+        outs.append(got[1])
+    assert "\nlambda=131072\n" in outs[0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("5,1,2,\n"))
+    assert run_cli(capsys, "bounds", "--weights", "-") == (
+        1, "", "error: empty field 4 in the weight list\n")
+
+
 def test_verify(capsys, tmp_path):
     f = tmp_path / "rules.txt"
     f.write_text(REMARK3_W10)

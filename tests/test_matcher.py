@@ -270,6 +270,25 @@ def test_meet_distances_refuse_a_foreign_space():
         matcher.meet_distances([(0,) * 6], 2, 6)
 
 
+def test_move_tables_cache_keeps_configurations_apart():
+    # the search's tables are cached per (width, allow_negative, slots) and
+    # filled as searches meet new value pairs: a search must read the same
+    # distances whichever configurations ran before it
+    configs = [(4, 4, True, 3), (4, 4, False, 3), (5, 3, False, 2), (4, 4, True, 3)]
+    alone = {}
+    for args in configs:
+        matcher._move_tables.cache_clear()
+        alone[args] = matcher.zeroing_distances(*args)
+    matcher._move_tables.cache_clear()
+    for args in configs:
+        assert matcher.zeroing_distances(*args) == alone[args]
+    assert matcher._move_tables.cache_info().hits == 1
+    # the value range check runs on every call, the tables' first or not
+    for _ in range(2):
+        with pytest.raises(BadOracleInput, match=r"has a value outside \[-8, 8\]"):
+            matcher.meet_distances([(0, 0, 0, -9)], 2, 4, True, radius=1)
+
+
 # --- the breadth-first oracle against a sorted-tuple search -----------------
 
 def _reference_successors(state, sizes, lo, hi):
